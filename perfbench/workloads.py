@@ -189,16 +189,42 @@ CHAIN_BUDGET = 10_000  # the library's default chain budget
 FACE_BUDGET = 20_000  # the library's default face budget for homology
 SMALL_CHAINS = 60  # items this small also get the rational Betti numbers and the oracle verdict
 CHAIN_CLASSES = 100
+# Extra classes around two percentiles of the chain-count order, as
+# (percentile, count).  Without them the median and the 90th percentile
+# each fell beside a 25% gap between neighbouring item costs, and a small
+# change in machine speed moved them across it.
+CHAIN_DENSE = ((50, 12), (86, 8))
+
+
+def _by_chain_count(max_edges: int, keep=lambda combo: True) -> list:
+    return [
+        c
+        for _, c in sorted(
+            (oracles.chain_count(oracles.graphic_bases(oracles.graph_edges(c))), c)
+            for c in oracles.graph_classes(max_edges)
+            if keep(c)
+        )
+    ]
+
+
+def _spread(ordered: list, count: int) -> list:
+    """`count` members from the middles of equal slices of the list."""
+    return [ordered[(2 * k + 1) * len(ordered) // (2 * count)] for k in range(count)]
 
 
 def _spread_classes(max_edges: int, count: int, keep=lambda combo: True) -> list:
     """`count` fixed graph classes evenly spread over their chain counts."""
-    keyed = sorted(
-        (oracles.chain_count(oracles.graphic_bases(oracles.graph_edges(c))), c)
-        for c in oracles.graph_classes(max_edges)
-        if keep(c)
-    )
-    return [keyed[(2 * k + 1) * len(keyed) // (2 * count)][1] for k in range(count)]
+    return _spread(_by_chain_count(max_edges, keep), count)
+
+
+def _chain_classes() -> list:
+    ordered = _by_chain_count(5)
+    n = len(ordered)
+    sample = _spread(ordered, CHAIN_CLASSES)
+    for pct, extra in CHAIN_DENSE:
+        at = pct * n // 100
+        sample += [c for c in ordered[at - extra : at + extra : 2] if c not in sample]
+    return sample
 
 
 def chain_items(seed: int) -> list:
@@ -207,7 +233,7 @@ def chain_items(seed: int) -> list:
     plus uniform matroids on permuted multiset hosts."""
     rng = random.Random(seed)
     items = []
-    for combo in _spread_classes(5, CHAIN_CLASSES):
+    for combo in _chain_classes():
         names = list(oracles.VERTICES)
         rng.shuffle(names)
         edges = [(names[u], names[v], wt) for u, v, wt in oracles.graph_edges(combo)]
