@@ -311,18 +311,18 @@ def chain_check(item, ans):
 # once with a fixed seed (a freshly drawn set moved a level's cost by up
 # to 20%); each copy gets its own coordinate permutation from the run's
 # seed, which moves the rank-level orders, the lifted order and the
-# searches but hardly the cost.  The counts put the median among the
-# copies of the non-shellable 15-variable set and the 90th percentile
-# among those of the non-shellable 18-variable set, so that neither lands
-# on the edge between two costs.
+# searches, and the cost by up to 20%.  The counts put the median in the
+# middle of the copies of the non-shellable 15-variable set and the 90th
+# percentile among those of the non-shellable 18-variable set, so that
+# neither lands on the edge between two costs.
 _SR_PLAN = (
     ((2, 2, 2, 2), (2, 1, 1, 0), 2, 2),
     ((2,) * 5, (2, 2, 1, 0, 0), 2, 2),
     ((3, 3, 3, 3), (3, 2, 1, 0), 2, 2),
     ((2,) * 7, (2, 2, 1, 1, 1, 0, 0), 3, 3),
-    ((3,) * 5, (3, 2, 1, 1, 0), 2, 8),
+    ((3,) * 5, (3, 2, 1, 1, 0), 2, 16),
     ((4, 4, 4, 4), (4, 3, 1, 0), 3, 3),
-    ((3,) * 6, (3, 2, 2, 1, 1, 0), 2, 5),
+    ((3,) * 6, (3, 2, 2, 1, 1, 0), 2, 6),
 )
 NONPURE_SEARCH_CAP = 14  # the library's facet cap for the non-pure shelling search
 
