@@ -82,6 +82,7 @@ def one_workload(spec: dict, workload: str, seed: int, seconds: float, traced: b
         print(f"{workload:15s} {name:52s} {value:14.6g} {unit}")
     failed_frac = res["failed"] / res["attempted"]
     detail = f"samples {res['samples']}, {res['beyond_p90']} beyond p90" if not traced else "traced pass"
+    detail += f"; {res['waited']} items charged wall time"
     print(
         f"{workload:15s} failed_frac {failed_frac:.4g} ({res['failed']} of {res['attempted']});"
         f" {detail}; PYTHONHASHSEED={HASH_SEED}"

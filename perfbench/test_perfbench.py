@@ -4,9 +4,12 @@ rebinding, and that every workload's checker flags a wrong answer.
     python3 -m pytest perfbench
 """
 
+import concurrent.futures
 import copy
 import os
+import subprocess
 import sys
+import time
 import types
 
 import pytest
@@ -15,6 +18,7 @@ sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(
 
 import stats  # noqa: E402
 import tracer as T  # noqa: E402
+import worker  # noqa: E402
 import workloads as W  # noqa: E402
 
 # ---------------------------------------------------------------------------
@@ -40,6 +44,47 @@ def test_sample_count_rule():
 def test_median():
     assert stats.median([3, 1, 2]) == 2
     assert stats.median([4, 1, 3, 2]) == 2.5
+
+
+# ---------------------------------------------------------------------------
+# item timing
+
+
+def _spin(seconds):
+    end = time.process_time() + seconds
+    while time.process_time() < end:
+        pass
+
+
+def test_an_item_that_waits_is_charged_its_wall_time():
+    tally = worker.Tally(lambda item: time.sleep(0.05), lambda item, ans: None)
+    took, _ = tally.one(None)
+    assert took >= 0.05 and tally.waited == 1
+
+
+def test_work_on_another_thread_is_counted():
+    # the caller waits for the thread, so the item costs at least its wall time
+    def offload(item):
+        with concurrent.futures.ThreadPoolExecutor(1) as pool:
+            pool.submit(_spin, 0.05).result()
+
+    tally = worker.Tally(offload, lambda item, ans: None)
+    took, _ = tally.one(None)
+    assert took >= 0.05
+
+
+def test_a_busy_item_is_charged_cpu_time():
+    tally = worker.Tally(lambda item: _spin(0.02), lambda item, ans: None)
+    took, _ = tally.one(None)
+    assert 0.02 <= took < 0.5 and tally.waited == 0
+
+
+def test_a_live_child_process_is_noticed():
+    assert not worker._has_children()
+    child = subprocess.Popen([sys.executable, "-c", "pass"])
+    assert worker._has_children()
+    child.wait()
+    assert not worker._has_children()
 
 
 # ---------------------------------------------------------------------------
@@ -105,6 +150,39 @@ def test_tracer_self_time_matches_span_arithmetic():
     assert T.self_times(tr.spans) == {k: v.self_s for k, v in tr.stats.items()}
     assert tr.stats["outer"].total_s == 5.5
     assert len(tr.spans) == 5
+
+
+class _TickingClock(_Clock):
+    """A clock that costs `tick` per reading, like a wrapper that costs
+    one tick inside a call's window and two in all."""
+
+    def __init__(self, tick):
+        super().__init__()
+        self.tick = tick
+
+    def __call__(self):
+        now = self.now
+        self.now += self.tick
+        return now
+
+
+def test_calibrated_costs_are_taken_out_of_self_and_total_time():
+    clock = _TickingClock(0.25)
+    costs = T.calibrate(clock, calls=10, rounds=1)
+    assert costs == {True: T.Cost(0.25, 0.5), False: T.Cost(0.25, 0.5)}
+    lib, user = _fake_library(clock)
+    tr = T.Tracer(clock=clock, costs=costs)
+    groups = [
+        T.Group("outer", [(lib, "outer")]),
+        T.Group("middle", [(lib, "middle")]),
+        T.Group("leaf", [(lib, "leaf")], hot=True),
+    ]
+    tr.install(groups, [lib, user])
+    user.outer()
+    tr.uninstall()
+    assert {k: v.self_s for k, v in tr.stats.items()} == {"outer": 0.5, "middle": 2.0, "leaf": 3.0}
+    assert tr.stats["outer"].total_s == 5.5
+    assert T.wrapper_seconds(tr) == 5 * 0.5
 
 
 def test_hot_groups_are_aggregated_not_stored():
@@ -240,6 +318,21 @@ def test_sr_checker():
     wrong = copy.deepcopy(ans)
     wrong["order"] = wrong["order"][1:]
     assert W.sr_check(shellable, wrong)
+
+
+def test_sr_checker_flags_a_non_shellable_item_answered_shellable():
+    items = W.sr_items(1)
+    shellable = _first(items, lambda i: i["shellable"])
+    rejected = _first(items, lambda i: not i["shellable"])
+    ans = W.sr_run(rejected)
+    assert ans["shelled"] is None
+    assert W.sr_check(rejected, ans) is None
+    # a shelling that passes the non-pure condition, and a budget refusal
+    # past the search cap, are still wrong verdicts for this item
+    shelled = dict(W.sr_run(shellable), equal=ans["equal"], polar_facets=ans["polar_facets"])
+    assert W.sr_check(rejected, shelled)
+    many = [[[0, 0]]] * (W.NONPURE_SEARCH_CAP + 1)
+    assert W.sr_check(rejected, dict(ans, shelled="over budget", lifted_ok=False, polar_facets=many))
 
 
 def test_cli_checker(tmp_path):

@@ -7,12 +7,17 @@
 keys are strings and set iteration order would otherwise change between
 processes.
 
-Times are CPU times of this single-threaded process: per item the calling
-thread's CPU time, for set-up the process CPU time from interpreter start
-to the first timed item (start-up, imports and input generation).  The
-library does no I/O beyond reading small files, so CPU time equals wall
-time except for time the host takes from a virtual CPU, which wall-clock
-timings would mix in (see README.md).
+An item's time is the CPU time of the whole process, every thread and
+every reaped child process included, unless the process waited during the
+item: a voluntary context switch (sleep, I/O wait, lock wait, waiting on
+another thread or process) charges the item its wall time instead.  The
+seed library never waits inside an item, so the figures are CPU times,
+which leave out the time the host takes from a virtual CPU (see
+README.md); work moved to another thread or process is still counted,
+and waiting is counted as the wall time it takes.  Set-up is the CPU time,
+children included, from interpreter start to the first timed item.  A
+child process still alive at the end fails the run, since its CPU time
+cannot be counted.
 """
 
 import argparse
@@ -26,7 +31,26 @@ import stats
 import workloads as W
 
 P90 = 90
-CLOCK = time.thread_time
+TRACE_CLOCK = time.thread_time  # spans, taken inside the one calling thread
+
+
+def _cpu_s() -> float:
+    """CPU time of this process and of its reaped children."""
+    t = os.times()
+    return time.process_time() + t.children_user + t.children_system
+
+
+def _waits() -> int:
+    return resource.getrusage(resource.RUSAGE_SELF).ru_nvcsw
+
+
+def _has_children() -> bool:
+    """Whether a child process, running or not yet reaped, exists."""
+    try:
+        os.waitid(os.P_ALL, 0, os.WEXITED | os.WNOHANG | os.WNOWAIT)
+    except ChildProcessError:
+        return False
+    return True
 
 
 def _workload(name: str, out_dir: str):
@@ -44,25 +68,32 @@ def _workload(name: str, out_dir: str):
 
 
 class Tally:
-    """Attempts, failures, and the first few failure reasons."""
+    """Attempts, failures, the first few failure reasons, and the items
+    charged wall time because the process waited."""
 
     def __init__(self, run, check):
         self.run = run
         self.check = check
         self.attempted = 0
         self.failed = 0
+        self.waited = 0
         self.reasons: list = []
 
-    def one(self, item, clock=CLOCK):
+    def one(self, item):
         """Answer one item, time it, then check it outside the timed span.
         Returns the time taken and the answer (None when it failed)."""
-        start = clock()
+        waits, wall, cpu = _waits(), time.perf_counter(), _cpu_s()
         try:
             ans = self.run(item)
             err = None
         except Exception as exc:  # an unexpected raise is a failed query
             ans, err = None, f"{type(exc).__name__}: {exc}"
-        took = clock() - start
+        cpu, wall = _cpu_s() - cpu, time.perf_counter() - wall
+        if _waits() != waits:
+            self.waited += 1
+            took = wall
+        else:
+            took = cpu
         self.attempted += 1
         reason = err if err is not None else self.check(item, ans)
         if reason is not None:
@@ -102,7 +133,7 @@ def trace(name, items, tally: Tally, out_dir: str, seed: int) -> dict:
     drift in the machine's speed cancels out of the tracing overhead."""
     import tracer as T
 
-    tr = T.Tracer(clock=CLOCK)
+    tr = T.Tracer(clock=TRACE_CLOCK, costs=T.calibrate(TRACE_CLOCK))
     groups, modules = T.powerlat_groups(), T.powerlat_modules()
     plain = traced = 0.0
     answers = []
@@ -120,6 +151,7 @@ def trace(name, items, tally: Tally, out_dir: str, seed: int) -> dict:
     tr.write(os.path.join(out_dir, f"trace-{name}-{seed}.json"))
     metrics = layer_metrics(tr, answers)
     metrics["trace.overhead_ratio"] = traced / plain - 1.0
+    metrics["trace.calibrated_overhead_ratio"] = T.wrapper_seconds(tr) / plain
     return metrics
 
 
@@ -156,7 +188,7 @@ def main(argv=None) -> int:
     make, run, check, close = _workload(args.workload, args.out)
     try:
         items = make(args.seed)
-        result = {"setup_s": time.process_time()}
+        result = {"setup_s": _cpu_s()}
         if args.mode != "setup":
             tally = Tally(run, check)
             if args.mode == "measure":
@@ -166,11 +198,15 @@ def main(argv=None) -> int:
             result.update(
                 attempted=tally.attempted,
                 failed=tally.failed,
+                waited=tally.waited,
                 reasons=tally.reasons,
                 peak_rss_mib=_peak_rss_mib(),
             )
     finally:
         close()
+    if _has_children():
+        print("a child process outlived the run; its CPU time cannot be counted", file=sys.stderr)
+        return 1
     print(json.dumps(result))
     return 0
 
