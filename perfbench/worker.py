@@ -109,15 +109,19 @@ def _peak_rss_mib() -> float:
 
 
 def measure(items, tally: Tally, seconds: float) -> dict:
-    """Closed loop, one caller: whole passes over the items until both the
-    run time and the sample-count rule for the 90th percentile are met."""
+    """Closed loop, one caller: whole passes over the items until the run
+    time is less than half a mean pass away and the sample-count rule of
+    the 90th percentile is met, so that a run ends within half a pass of
+    the run time."""
     need = stats.min_samples(P90)
     lat: list = []
+    passes = 0
     begun = time.perf_counter()
     while True:
-        for item in items:
-            lat.append(tally.one(item)[0])
-        if time.perf_counter() - begun >= seconds and len(lat) >= need:
+        lat += [tally.one(item)[0] for item in items]
+        passes += 1
+        elapsed = time.perf_counter() - begun
+        if elapsed + elapsed / passes / 2 >= seconds and len(lat) >= need:
             break
     return {
         "items_per_s": len(lat) / sum(lat),

@@ -118,7 +118,8 @@ def lattice_items(seed: int) -> list:
         return {"spec": _hasse(rng, shape), "expect": check}
 
     items = [
-        *(fam(boolean(3)) for _ in range(3)),
+        # the median falls in the middle of the boolean(3) copies
+        *(fam(boolean(3)) for _ in range(5)),
         *(fam(boolean(4)) for _ in range(2)),
         fam(boolean(5)),
         fam(multiset((2, 1))),
@@ -126,6 +127,9 @@ def lattice_items(seed: int) -> list:
         fam(multiset((3, 2))),
         fam(multiset((3, 3))),
         fam(multiset((2, 2, 1))),
+        # two copies each of the two members that set the 90th
+        # percentile, so that it rests on more samples than one per pass
+        fam(multiset((2, 2, 2))),
         fam(multiset((2, 2, 2))),
         fam(divisor((2, 1))),
         fam(divisor((2, 1, 1))),
@@ -133,6 +137,7 @@ def lattice_items(seed: int) -> list:
         fam({"type": "subspace", "q": 2, "n": 2}),
         fam({"type": "subspace", "q": 3, "n": 2}),
         fam({"type": "subspace", "q": 5, "n": 2}),
+        fam({"type": "subspace", "q": 2, "n": 3}),
         fam({"type": "subspace", "q": 2, "n": 3}),
         fam({"type": "product", "factors": perm([boolean(1), multiset((2,))])}),
         fam({"type": "product", "factors": perm([boolean(1), multiset((2, 1))])}),
@@ -145,11 +150,19 @@ def lattice_items(seed: int) -> list:
         # diamonds M3 and M4 are the subspace lattices of GF(2)^2 and GF(3)^2
         fam(_hasse(rng, _diamond(3))),
         fam(_hasse(rng, _diamond(4))),
-        near(_N5, "rank_covers"),
-        near(_HEXAGON, "semimodularity"),
-        near(_Q8, "unique_atom_powers"),
-        near(_FIGURE, "rank_by_total_valuation"),
-        near(_TWO_TOPS, "construction"),
+        # every near miss twice, under different names, so that as many
+        # items cost less than the boolean(3) copies as cost more
+        *(
+            near(shape, check)
+            for shape, check in (
+                (_N5, "rank_covers"),
+                (_HEXAGON, "semimodularity"),
+                (_Q8, "unique_atom_powers"),
+                (_FIGURE, "rank_by_total_valuation"),
+                (_TWO_TOPS, "construction"),
+            )
+            for _ in range(2)
+        ),
     ]
     rng.shuffle(items)
     return items
@@ -315,17 +328,20 @@ def chain_check(item, ans):
 # to 20%); each copy gets its own coordinate permutation from the run's
 # seed, which moves the rank-level orders, the lifted order and the
 # searches, and the cost by up to 20%.  The counts put the median in the
-# middle of the copies of the non-shellable 15-variable set and the 90th
-# percentile among those of the non-shellable 18-variable set, so that
-# neither lands on the edge between two costs.
+# middle of the copies of the non-shellable 12-variable set and the 90th
+# percentile in the middle of those of the non-shellable 16-variable set,
+# so that neither lands on the edge between two costs.  The 18-variable
+# sets, which cost four to seven times as much, appear once a pass, so
+# that a pass takes about 5 s and the 90th percentile of a run rests on
+# several passes.
 _SR_PLAN = (
     ((2, 2, 2, 2), (2, 1, 1, 0), 2, 2),
     ((2,) * 5, (2, 2, 1, 0, 0), 2, 2),
-    ((3, 3, 3, 3), (3, 2, 1, 0), 2, 2),
-    ((2,) * 7, (2, 2, 1, 1, 1, 0, 0), 3, 3),
-    ((3,) * 5, (3, 2, 1, 1, 0), 2, 16),
-    ((4, 4, 4, 4), (4, 3, 1, 0), 3, 3),
-    ((3,) * 6, (3, 2, 2, 1, 1, 0), 2, 6),
+    ((3, 3, 3, 3), (3, 2, 1, 0), 2, 57),
+    ((2,) * 7, (2, 2, 1, 1, 1, 0, 0), 1, 1),
+    ((3,) * 5, (3, 2, 1, 1, 0), 1, 1),
+    ((4, 4, 4, 4), (4, 3, 1, 0), 1, 8),
+    ((3,) * 6, (3, 2, 2, 1, 1, 0), 1, 1),
 )
 NONPURE_SEARCH_CAP = 14  # the library's facet cap for the non-pure shelling search
 
