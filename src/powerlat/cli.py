@@ -5,6 +5,7 @@ Commands::
     powerlat lattice verify|info FILE
     powerlat complex shell FILE [--order CSV | --search]
     powerlat complex order FILE [--chain-order lex|shelling] [--homology] [--sphere-check]
+        (lex and shelling name one order: reverse lexicographic, tops first)
     powerlat complex homology FILE
     powerlat complex sphere FILE [--element JSON]
     powerlat matroid verify|bases|shelling|exchange FILE [--x/--y/--a JSON]
@@ -27,7 +28,6 @@ import json
 import os
 import sys
 import time
-from functools import cmp_to_key
 
 from .instances import lattice_from_obj
 from .lattice import (
@@ -50,13 +50,12 @@ from .matroid import (
 )
 from .ordercomplex import (
     SimplicialComplex,
-    compare_reverse_lex,
-    compare_shelling_order,
+    _order_report,
+    _sort_chains,
     maximal_chains,
     order_complex,
     reduced_betti,
     sphere_order_shelling_check,
-    verify_pure_simplicial_shelling,
 )
 from .pcomplex import PComplex, find_shelling, verify_shelling
 from .stanley_reisner import (
@@ -227,11 +226,6 @@ def _cmd_lattice(args):
     return (0 if rep.ok else 1), report
 
 
-def _chain_sets(C: PComplex, chains, budget: int):
-    index = {v.key: i for i, v in enumerate(C.faces(budget=budget))}
-    return [frozenset(index[x.key] for x in chain) for chain in chains]
-
-
 def _cmd_complex(args):
     atom_order = _parse_atom_order(args.atom_order)
     report: dict = {"command": f"complex {args.action}", "input": args.file}
@@ -272,12 +266,8 @@ def _cmd_complex(args):
     if args.action == "order":
         C = _load_pcomplex(args.file)
         L = C.lattice
-        chains = maximal_chains(C, budget=args.budget)
-        if args.chain_order == "shelling":
-            cmp = lambda A, B: compare_shelling_order(L, A, B, atom_order)
-        else:
-            cmp = lambda A, B: compare_reverse_lex(L, A, B, atom_order)
-        chains.sort(key=cmp_to_key(cmp))
+        # lex and shelling name one order; a non-pure complex raises here
+        chains = _sort_chains(L, maximal_chains(C, budget=args.budget), atom_order)
         report["chain_order"] = args.chain_order
         report["count"] = len(chains)
         report["chains"] = [[L.label(x) for x in c] for c in chains]
@@ -286,25 +276,9 @@ def _cmd_complex(args):
             sc = order_complex(C, budget=args.budget)
             report["reduced_betti"] = list(reduced_betti(sc, budget=args.budget))
         if args.sphere_check:
-            if len({len(c) for c in chains}) > 1:
-                report["shelling_check"] = {
-                    "ok": False,
-                    "detail": "the order complex is not pure",
-                }
-                code = 1
-            else:
-                rep = verify_pure_simplicial_shelling(_chain_sets(C, chains, args.budget))
-                check = rep.to_obj()
-                if rep.witness is not None and "j" in rep.witness:
-                    check["witness"] = dict(rep.witness)
-                    check["witness"]["chain_i"] = [
-                        L.label(x) for x in chains[rep.witness["i"]]
-                    ]
-                    check["witness"]["chain_j"] = [
-                        L.label(x) for x in chains[rep.witness["j"]]
-                    ]
-                report["shelling_check"] = check
-                code = 0 if rep.ok else 1
+            rep = _order_report(C, chains, args.budget)
+            report["shelling_check"] = rep.to_obj()
+            code = 0 if rep.ok else 1
         return code, report
 
     if args.action == "homology":
@@ -507,7 +481,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "--chain-order",
         choices=["lex", "shelling"],
         default="lex",
-        help="chain sort order (order)",
+        help="chain sort order; lex and shelling name the same reverse"
+        " lexicographic order (order)",
     )
     p_cx.add_argument("--homology", action="store_true", help="include Betti numbers (order)")
     p_cx.add_argument(

@@ -217,7 +217,7 @@ class PowerLattice(ABC):
 
     def sort_key(self, x: Element):
         """Deterministic total order: rank, then factorization, then label."""
-        return (x.rank, _position_sequence(self, x, None), self.label(x))
+        return _rank_level_key(self, None)(x) + (self.label(x),)
 
 
 # ---------------------------------------------------------------------------
@@ -242,13 +242,19 @@ def _atom_sequence(L: PowerLattice, atom_order) -> tuple:
     return seq
 
 
-def _position_sequence(L: PowerLattice, x: Element, atom_order) -> tuple:
-    # Factorization of x written as positions in the atom order, ascending.
+def _rank_level_key(L: PowerLattice, atom_order):
+    # Sort key of the rank-level order: x -> (rank, factorization of x
+    # written as positions in the atom order, ascending).  The atom order
+    # is checked here, once per key.
     seq = _atom_sequence(L, atom_order)
-    out = []
-    for pos, i in enumerate(seq):
-        out.extend([pos] * x.valuation[i])
-    return tuple(out)
+
+    def key(x: Element) -> tuple:
+        out = []
+        for pos, i in enumerate(seq):
+            out.extend([pos] * x.valuation[i])
+        return (x.rank, tuple(out))
+
+    return key
 
 
 def factorization(L: PowerLattice, x: Element, atom_order=None) -> tuple:
@@ -289,8 +295,8 @@ def rank_lex_compare(L: PowerLattice, x: Element, y: Element, atom_order=None) -
         return 0
     if x.rank != y.rank:
         raise LatticeInputError("rank_lex_compare needs elements of equal rank")
-    px = _position_sequence(L, x, atom_order)
-    py = _position_sequence(L, y, atom_order)
+    key = _rank_level_key(L, atom_order)
+    px, py = key(x), key(y)
     if px == py:
         return 0
     return -1 if px < py else 1

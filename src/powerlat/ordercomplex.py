@@ -1,11 +1,13 @@
 """Order complexes, chain orders, simplicial shellings, and homology.
 
 The order complex of a complex S is the simplicial complex of chains in S;
-its facets are the maximal chains.  Two total orders on maximal chains are
-provided: reverse lexicographic comparison position by position from the
-top, and the prescribed shelling order that first compares chain tops in
-the rank level order and then falls back to the truncated chains.  The
-prescribed order is not always a shelling, even when the facet order is
+its facets are the maximal chains.  One total order on maximal chains is
+provided, under two names: the reverse lexicographic order
+(`compare_reverse_lex`), which compares position by position from the top
+in the rank level order, is also the prescribed shelling order
+(`compare_shelling_order`), since comparing the tops first and then the
+truncated chains is the same comparison.  The prescribed order is not
+always a shelling, even when the facet order is
 (``test_private_atom_before_shared_fails`` pins the smallest
 counterexample); `complex_order_shelling` lists the chains by a recursive
 coatom ordering instead, which does shell them.  Reduced homology is
@@ -16,7 +18,6 @@ variant for cross checks.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cmp_to_key
 from math import gcd
 
 from .lattice import (
@@ -24,7 +25,7 @@ from .lattice import (
     Element,
     LatticeInputError,
     PowerLattice,
-    _position_sequence,
+    _rank_level_key,
     rank_lex_compare,
 )
 from .pcomplex import PComplex, ShellingReport, sort_by_rank_lex, sphere, verify_shelling
@@ -41,17 +42,18 @@ class SimplicialComplex:
         labels = tuple(vertex_labels)
         if len(set(labels)) != len(labels):
             raise LatticeInputError("vertex labels must be distinct")
-        sets = []
-        seen = set()
+        by_size: dict[int, set] = {}  # the distinct sets, by size
         for f in facets:
             fs = frozenset(f)
             for v in fs:
                 if not isinstance(v, int) or v < 0 or v >= len(labels):
                     raise LatticeInputError(f"facet vertex {v!r} is not a vertex index")
-            if fs not in seen:
-                seen.add(fs)
-                sets.append(fs)
-        maximal = [f for f in sets if not any(f < g for g in sets)]
+            by_size.setdefault(len(fs), set()).add(fs)
+        # a set can only lie in a strictly larger one, so each size is tested
+        # against the maximal sets already kept; a pure family needs no test
+        maximal = []
+        for size in sorted(by_size, reverse=True):
+            maximal += [f for f in by_size[size] if not any(f < g for g in maximal)]
         maximal.sort(key=lambda f: (len(f), sorted(f)))
         self.vertex_labels = labels
         self.facets = tuple(maximal)
@@ -116,38 +118,38 @@ class SimplicialComplex:
 # maximal chains and the order complex
 
 
+def _lower_cover_map(C: PComplex, budget: int) -> dict:
+    # face key -> the face's lower covers in the host lattice, which are
+    # faces too, since a complex is downward closed
+    L = C.lattice
+    return {f.key: L.lower_covers(f) for f in C.faces(budget=budget)}
+
+
 def maximal_chains(C: PComplex, include_bottom: bool = True, budget: int = 10_000):
     """All maximal chains of the complex, as tuples from bottom upward.
 
     Since a complex is downward closed, cover steps inside it are cover
-    steps of the host lattice, so chains are walked along lattice covers
-    restricted to the faces.
+    steps of the host lattice, so chains are walked down the lower covers
+    from each facet to the bottom.
     """
     L = C.lattice
-    faces = C.faces(budget=budget)
-    by_rank: dict[int, list] = {}
-    for f in faces:
-        by_rank.setdefault(f.rank, []).append(f)
-    nxt: dict = {}
-    for f in faces:
-        above = by_rank.get(f.rank + 1, ())
-        nxt[f.key] = [g for g in above if L.leq(f, g)]
-    bottom = L.bottom
+    below = _lower_cover_map(C, budget)
     chains = []
-    stack = [(bottom,)]
+    stack = [(f,) for f in C.facets]
     while stack:
-        chain = stack.pop()
-        children = nxt[chain[-1].key]
+        path = stack.pop()
+        children = below[path[-1].key]
         if not children:
             if len(chains) >= budget:
                 raise BudgetError(f"complex has more than {budget} maximal chains")
-            chains.append(chain)
+            chains.append(path[::-1])
             continue
         for g in children:
-            stack.append(chain + (g,))
+            stack.append(path + (g,))
     if not include_bottom:
         chains = [c[1:] for c in chains]
-    chains.sort(key=lambda c: tuple(L.sort_key(x) for x in c))
+    sort_keys = {f.key: L.sort_key(f) for f in C.faces(budget=budget)}
+    chains.sort(key=lambda c: tuple(sort_keys[x.key] for x in c))
     return chains
 
 
@@ -174,7 +176,14 @@ def order_complex(
 
 def compare_reverse_lex(L: PowerLattice, X, Y, atom_order=None) -> int:
     """Reverse lexicographic chain order: compare at the largest index where
-    the chains differ, in the rank level order."""
+    the chains differ, in the rank level order.
+
+    This is also the prescribed shelling order, `compare_shelling_order`:
+    tops first, then the chains below the top.  It need not shell the order
+    complex even when the facet order shells the complex; see
+    ``test_private_atom_before_shared_fails`` for a counterexample and
+    `complex_order_shelling` for an order that shells.
+    """
     X, Y = tuple(X), tuple(Y)
     if len(X) != len(Y):
         raise LatticeInputError("chains must have equal length")
@@ -184,22 +193,22 @@ def compare_reverse_lex(L: PowerLattice, X, Y, atom_order=None) -> int:
     return 0
 
 
-def compare_shelling_order(L: PowerLattice, X, Y, atom_order=None) -> int:
-    """Chain order for shellings: compare tops in the rank level order, and
-    chains with the same top reverse lexicographically below the top.
+# The prescribed chain order for shellings compares the tops in the rank
+# level order, then the chains below the top reverse lexicographically:
+# that is the reverse lexicographic order itself.  The name stays public
+# because the README, the tests and the perfbench tracer use it.
+compare_shelling_order = compare_reverse_lex
 
-    This order need not shell the order complex even when the facet order
-    shells the complex; see ``test_private_atom_before_shared_fails`` for a
-    counterexample and `complex_order_shelling` for an order that shells.
-    """
-    X, Y = tuple(X), tuple(Y)
-    if len(X) != len(Y):
+
+def _sort_chains(L: PowerLattice, chains, atom_order) -> list:
+    # the chains sorted in the reverse lexicographic order: by the
+    # rank-level keys of their elements, read from the top down
+    if len({len(c) for c in chains}) > 1:
         raise LatticeInputError("chains must have equal length")
-    if not X:
-        return 0
-    if X[-1] != Y[-1]:
-        return rank_lex_compare(L, X[-1], Y[-1], atom_order)
-    return compare_reverse_lex(L, X[:-1], Y[:-1], atom_order)
+    key = _rank_level_key(L, atom_order)
+    elements = {x.key: x for c in chains for x in c}
+    keys = {k: key(x) for k, x in elements.items()}
+    return sorted(chains, key=lambda c: tuple(keys[x.key] for x in reversed(c)))
 
 
 # ---------------------------------------------------------------------------
@@ -317,8 +326,7 @@ def sphere_order_shelling_check(
     lexicographically and check that this order shells its order complex."""
     S = sphere(L, x)
     chains = maximal_chains(S, include_bottom=True, budget=budget)
-    chains.sort(key=cmp_to_key(lambda A, B: compare_reverse_lex(L, A, B, atom_order)))
-    return _order_report(S, chains, budget)
+    return _order_report(S, _sort_chains(L, chains, atom_order), budget)
 
 
 def _facet_order_refusal(C: PComplex, atom_order):
@@ -349,13 +357,11 @@ def complex_order_shelling_check(
     (``test_private_atom_before_shared_fails``).  `complex_order_shelling`
     orders the chains so that they do shell.
     """
-    L = C.lattice
     refusal, _ = _facet_order_refusal(C, atom_order)
     if refusal is not None:
         return refusal
     chains = maximal_chains(C, include_bottom=True, budget=budget)
-    chains.sort(key=cmp_to_key(lambda A, B: compare_shelling_order(L, A, B, atom_order)))
-    return _order_report(C, chains, budget)
+    return _order_report(C, _sort_chains(C.lattice, chains, atom_order), budget)
 
 
 def complex_order_shelling(
@@ -377,14 +383,9 @@ def complex_order_shelling(
     refusal, facets = _facet_order_refusal(C, atom_order)
     if refusal is not None:
         return refusal
-    faces = C.faces(budget=budget)
-    pos = {f.key: _position_sequence(L, f, atom_order) for f in faces}
-    by_rank: dict[int, list] = {}
-    for f in faces:
-        by_rank.setdefault(f.rank, []).append(f)
-    below = {
-        f.key: [g for g in by_rank.get(f.rank - 1, ()) if L.leq(g, f)] for f in faces
-    }
+    key = _rank_level_key(L, atom_order)
+    pos = {f.key: key(f) for f in C.faces(budget=budget)}
+    below = _lower_cover_map(C, budget)
     chains = []
 
     def walk(path, siblings):

@@ -9,14 +9,13 @@ sphere below an element.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cmp_to_key
 
 from .lattice import (
     BudgetError,
     Element,
     LatticeInputError,
     PowerLattice,
-    rank_lex_compare,
+    _rank_level_key,
 )
 
 
@@ -91,13 +90,7 @@ def generate(L: PowerLattice, elements) -> PComplex:
 
 def sort_by_rank_lex(L: PowerLattice, elements, atom_order=None) -> list:
     """Sort elements by rank, then by the total order on each rank level."""
-
-    def cmp(a, b):
-        if a.rank != b.rank:
-            return -1 if a.rank < b.rank else 1
-        return rank_lex_compare(L, a, b, atom_order)
-
-    return sorted(elements, key=cmp_to_key(cmp))
+    return sorted(elements, key=_rank_level_key(L, atom_order))
 
 
 @dataclass

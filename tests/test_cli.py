@@ -15,6 +15,7 @@ U2_COMPLEX = {"lattice": M22, "facets": [[2, 0], [1, 1], [0, 2]]}
 TRIANGLE_COMPLEX = {"lattice": BOOL3, "facets": [["a", "b"], ["b", "c"], ["a", "c"]]}
 DISJOINT_COMPLEX = {"lattice": BOOL4, "facets": [["a", "b"], ["c", "d"]]}
 NONPURE_COMPLEX = {"lattice": BOOL4, "facets": [["a", "b"], ["c"]]}
+PRIVATE_ATOM_COMPLEX = {"lattice": BOOL3, "facets": [["a", "c"], ["b", "c"]]}
 U2_MATROID = {
     "lattice": M22,
     "independents": [[0, 0], [1, 0], [0, 1], [2, 0], [1, 1], [0, 2]],
@@ -219,6 +220,27 @@ class TestComplexOrder:
             "shelling",
         )
         assert code == 0 and rep["chain_order"] == "shelling"
+
+    def test_lex_and_shelling_name_one_order(self, capsys, write):
+        # the prescribed order fails here, so the witnesses are compared too
+        path = write("private.json", PRIVATE_ATOM_COMPLEX)
+        reps = {}
+        for name in ("lex", "shelling"):
+            code, rep, _ = jrun(
+                capsys, "complex", "order", path, "--chain-order", name, "--sphere-check"
+            )
+            assert code == 1 and rep["chain_order"] == name
+            reps[name] = rep
+        assert reps["lex"]["chains"] == reps["shelling"]["chains"]
+        assert reps["lex"]["shelling_check"] == reps["shelling"]["shelling_check"]
+        check = reps["lex"]["shelling_check"]
+        assert check["chains"] == 4 and check["witness"]["chain_j"] == ["{}", "{b}", "{b,c}"]
+
+    def test_non_pure_complex_refused(self, capsys, write):
+        code, out, err = run(
+            capsys, "complex", "order", write("np.json", NONPURE_COMPLEX), "--sphere-check"
+        )
+        assert code == 2 and "chains must have equal length" in err
 
     def test_budget(self, capsys, write):
         code, out, err = run(

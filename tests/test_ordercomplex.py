@@ -13,6 +13,7 @@ from powerlat import (
     PComplex,
     SimplicialComplex,
     build_boolean,
+    build_hasse,
     build_multiset,
     build_subspace,
     check_wedge,
@@ -23,16 +24,19 @@ from powerlat import (
     complex_order_shelling,
     complex_order_shelling_check,
     maximal_chains,
+    min_rule_compare,
     order_complex,
     rank_lex_compare,
     reduced_betti,
     reduced_betti_mod2,
+    sort_by_rank_lex,
     sphere,
     sphere_order_shelling_check,
     uniform_matroid,
     verify_pure_simplicial_shelling,
     verify_shelling,
 )
+from powerlat.ordercomplex import _sort_chains
 
 from test_graphic import SLOTS, canonical, graph_of
 
@@ -188,6 +192,35 @@ class TestOrderComplex:
         S = sphere(L, L.element((1, 1)))
         sc = order_complex(S, include_bottom=False)
         assert reduced_betti(sc) == (1,)
+
+
+def maximal_sets_pairwise(facets):
+    """The former maximality filter of `SimplicialComplex`: each distinct
+    set tested against every other, then sorted by size and content."""
+    sets = []
+    for f in facets:
+        if frozenset(f) not in sets:
+            sets.append(frozenset(f))
+    maximal = [f for f in sets if not any(f < g for g in sets)]
+    maximal.sort(key=lambda f: (len(f), sorted(f)))
+    return tuple(maximal)
+
+
+class TestSimplicialComplexFacets:
+    def test_matches_pairwise_filter(self):
+        rng = random.Random(31)
+        for _ in range(500):
+            n = rng.randint(1, 6)
+            facets = [
+                rng.sample(range(n), rng.randint(0, n)) for _ in range(rng.randint(1, 10))
+            ]
+            want = maximal_sets_pairwise(facets)
+            assert simplicial(facets, n=n).facets == want
+            obj = {
+                "vertices": [str(i) for i in range(n)],
+                "facets": [[str(v) for v in f] for f in facets],
+            }
+            assert SimplicialComplex.from_obj(obj).facets == want
 
 
 # --- chain comparisons ------------------------------------------------------
@@ -481,6 +514,135 @@ class TestComplexOrderShelling:
             if not complex_order_shelling_check(C).ok:
                 prescribed_failures += 1
         assert prescribed_failures > 0
+
+
+class TestNonGradedHost:
+    """The pentagon N5: 0 < a < b < 1 and 0 < c < 1.  The chain through c is
+    a step shorter, so the cover c < 1 skips a rank level."""
+
+    def pentagon(self):
+        L = build_hasse(
+            ["0", "a", "b", "c", "1"],
+            [["0", "a"], ["a", "b"], ["b", "1"], ["0", "c"], ["c", "1"]],
+        )
+        return L, PComplex(L, [L.top])
+
+    def test_maximal_chains_follow_covers(self):
+        L, C = self.pentagon()
+        assert labels_of(L, maximal_chains(C)) == [["0", "a", "b", "1"], ["0", "c", "1"]]
+
+    def test_order_complex_facets(self):
+        L, C = self.pentagon()
+        sc = order_complex(C)
+        facets = {frozenset(sc.vertex_labels[v] for v in f) for f in sc.facets}
+        assert facets == {frozenset({"0", "a", "b", "1"}), frozenset({"0", "c", "1"})}
+
+    def test_chain_orders_refuse_unequal_chains(self):
+        L, C = self.pentagon()
+        with pytest.raises(LatticeInputError):
+            complex_order_shelling(C)
+        with pytest.raises(LatticeInputError):
+            complex_order_shelling_check(C)
+
+
+# --- the key sorts and the cover walk against the code they replaced ---------
+
+
+def compare_shelling_order_two_step(L, X, Y, atom_order=None):
+    """The former body of `compare_shelling_order`: tops in the rank level
+    order first, then the chains below the top reverse lexicographically."""
+    X, Y = tuple(X), tuple(Y)
+    if len(X) != len(Y):
+        raise LatticeInputError("chains must have equal length")
+    if not X:
+        return 0
+    if X[-1] != Y[-1]:
+        return rank_lex_compare(L, X[-1], Y[-1], atom_order)
+    return compare_reverse_lex(L, X[:-1], Y[:-1], atom_order)
+
+
+def maximal_chains_upward(C):
+    """The former `maximal_chains`: chains grown from the bottom through the
+    faces one rank level up that lie above, found by a pairwise leq scan.
+    Right only on hosts whose covers raise the rank by one."""
+    L = C.lattice
+    faces = C.faces()
+    by_rank: dict = {}
+    for f in faces:
+        by_rank.setdefault(f.rank, []).append(f)
+    nxt = {f.key: [g for g in by_rank.get(f.rank + 1, ()) if L.leq(f, g)] for f in faces}
+    chains = []
+    stack = [(L.bottom,)]
+    while stack:
+        chain = stack.pop()
+        children = nxt[chain[-1].key]
+        if not children:
+            chains.append(chain)
+        for g in children:
+            stack.append(chain + (g,))
+    chains.sort(key=lambda c: tuple(L.sort_key(x) for x in c))
+    return chains
+
+
+def differential_complexes(corpus):
+    """small_order_complexes() and the sphere below every element of rank at
+    least 2 of the corpus, as criterion 5 checks them, as (tag, complex)."""
+    yield from small_order_complexes()
+    for name, L in corpus.items():
+        for x in L.elements():
+            if x.rank >= 2:
+                yield (name, L.label(x)), sphere(L, x)
+
+
+def differential_cases(corpus):
+    """Each differential complex under the identity and the reversed atom
+    order, as (tag, complex, atom order)."""
+    for tag, C in differential_complexes(corpus):
+        n = len(C.lattice.atoms)
+        for atom_order in (None, tuple(reversed(range(n)))):
+            yield tag, C, atom_order
+
+
+class TestChainOrderOracles:
+    def test_sort_chains_matches_comparator_sort(self, corpus):
+        rng = random.Random(23)
+        for tag, C, atom_order in differential_cases(corpus):
+            L = C.lattice
+            chains = maximal_chains(C)
+            rng.shuffle(chains)
+            cmp = lambda A, B: compare_reverse_lex(L, A, B, atom_order)
+            want = sorted(chains, key=cmp_to_key(cmp))
+            assert _sort_chains(L, chains, atom_order) == want, (tag, atom_order)
+
+    def test_shelling_order_matches_two_step_body(self, corpus):
+        for tag, C, atom_order in differential_cases(corpus):
+            L = C.lattice
+            chains = maximal_chains(C)
+            for X, Y in itertools.product(chains, repeat=2):
+                got = compare_shelling_order(L, X, Y, atom_order)
+                assert got == compare_shelling_order_two_step(L, X, Y, atom_order), tag
+
+    def test_sort_by_rank_lex_matches_comparator_sort(self, corpus):
+        rng = random.Random(29)
+        for tag, C, atom_order in differential_cases(corpus):
+            L = C.lattice
+            faces = list(C.faces())
+            rng.shuffle(faces)
+            levels = []
+            for level in sorted({f.rank for f in faces}):
+                elems = [f for f in faces if f.rank == level]
+                got = sort_by_rank_lex(L, elems, atom_order)
+                for compare in (rank_lex_compare, min_rule_compare):
+                    cmp = lambda x, y: compare(L, x, y, atom_order)
+                    assert got == sorted(elems, key=cmp_to_key(cmp)), (tag, level)
+                levels += got
+            assert sort_by_rank_lex(L, faces, atom_order) == levels, tag
+
+    def test_cover_walk_matches_upward_scan(self, corpus):
+        for tag, C in differential_complexes(corpus):
+            want = maximal_chains_upward(C)
+            assert maximal_chains(C) == want, tag
+            assert maximal_chains(C, include_bottom=False) == [c[1:] for c in want], tag
 
 
 # --- homology ----------------------------------------------------------------
