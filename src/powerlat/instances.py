@@ -18,6 +18,8 @@ from .lattice import (
     LatticeInputError,
     NotALatticeError,
     PowerLattice,
+    _bits,
+    _OrderIndex,
 )
 
 _MAX_ELEMENTS = 10**6
@@ -26,6 +28,25 @@ _MAX_ELEMENTS = 10**6
 def _check_count(count: int, what: str):
     if count > _MAX_ELEMENTS:
         raise LatticeInputError(f"{what} has {count} elements, over the 10^6 bound")
+
+
+def _is_int(value) -> bool:
+    # JSON true and 2.0 are not integers here, though bool is an int
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _sequence(value, what: str) -> tuple:
+    if not isinstance(value, (list, tuple)):
+        raise LatticeInputError(f"{what} must be a list")
+    return tuple(value)
+
+
+def _distinct_names(names, count: int) -> bool:
+    return (
+        len(names) == count
+        and all(isinstance(s, str) for s in names)
+        and len(set(names)) == count
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -39,13 +60,13 @@ class BooleanLattice(PowerLattice):
 
     def __init__(self, n: int, labels=None):
         super().__init__()
-        if not isinstance(n, int) or n < 0 or n > 20:
+        if not _is_int(n) or n < 0 or n > 20:
             raise LatticeInputError("boolean lattice needs an integer n with 0 <= n <= 20")
         if labels is None:
             labels = tuple(string.ascii_lowercase[:n])
-        labels = tuple(labels)
-        if len(labels) != n or len(set(labels)) != n:
-            raise LatticeInputError("boolean lattice needs n distinct labels")
+        labels = _sequence(labels, "boolean lattice labels")
+        if not _distinct_names(labels, n):
+            raise LatticeInputError("boolean lattice needs n distinct string labels")
         self.n = n
         self.labels = labels
 
@@ -104,7 +125,7 @@ class BooleanLattice(PowerLattice):
         pos = {lab: i for i, lab in enumerate(self.labels)}
         idxs = set()
         for lab in obj:
-            if lab not in pos:
+            if not isinstance(lab, str) or lab not in pos:
                 raise LatticeInputError(f"unknown label {lab!r}")
             if pos[lab] in idxs:
                 raise LatticeInputError(f"repeated label {lab!r}")
@@ -149,8 +170,8 @@ class MultisetLattice(PowerLattice):
 
     def __init__(self, exponents, labels=None):
         super().__init__()
-        exponents = tuple(exponents)
-        if any(not isinstance(e, int) or e < 1 for e in exponents):
+        exponents = _sequence(exponents, "multiset lattice exponents")
+        if any(not _is_int(e) or e < 1 for e in exponents):
             raise LatticeInputError("multiset lattice exponents must be integers >= 1")
         count = 1
         for e in exponents:
@@ -158,9 +179,9 @@ class MultisetLattice(PowerLattice):
         _check_count(count, "multiset lattice")
         if labels is None:
             labels = tuple(f"x_{i + 1}" for i in range(len(exponents)))
-        labels = tuple(labels)
-        if len(labels) != len(exponents) or len(set(labels)) != len(labels):
-            raise LatticeInputError("multiset lattice needs one distinct label per variable")
+        labels = _sequence(labels, "multiset lattice labels")
+        if not _distinct_names(labels, len(exponents)):
+            raise LatticeInputError("multiset lattice needs one distinct string label per variable")
         self.exponents = exponents
         self.labels = labels
         self._count = count
@@ -178,7 +199,7 @@ class MultisetLattice(PowerLattice):
     def element(self, exponents) -> Element:
         t = tuple(exponents)
         if len(t) != len(self.exponents) or any(
-            not isinstance(v, int) or v < 0 or v > b for v, b in zip(t, self.exponents)
+            not _is_int(v) or v < 0 or v > b for v, b in zip(t, self.exponents)
         ):
             raise LatticeInputError(
                 f"exponent vector {list(exponents)} is outside the box {list(self.exponents)}"
@@ -299,9 +320,9 @@ class SubspaceLattice(PowerLattice):
 
     def __init__(self, q: int, n: int):
         super().__init__()
-        if q not in (2, 3, 5, 7):
+        if not _is_int(q) or q not in (2, 3, 5, 7):
             raise LatticeInputError("subspace lattice needs a prime q with q <= 7")
-        if not isinstance(n, int) or n < 1 or n > 4:
+        if not _is_int(n) or n < 1 or n > 4:
             raise LatticeInputError("subspace lattice needs an integer n with 1 <= n <= 4")
         self.q = q
         self.n = n
@@ -428,7 +449,7 @@ class SubspaceLattice(PowerLattice):
         for row in obj:
             if not isinstance(row, list) or len(row) != self.n:
                 raise LatticeInputError(f"each basis row must have {self.n} entries")
-            if any(not isinstance(v, int) for v in row):
+            if any(not _is_int(v) for v in row):
                 raise LatticeInputError("basis entries must be integers")
             rows.append(tuple(v % self.q for v in row))
         rr, _ = _rref(rows, self.q)
@@ -577,123 +598,69 @@ class HasseLattice(PowerLattice):
 
     def __init__(self, names, relations):
         super().__init__()
-        names = tuple(names)
+        names = _sequence(names, "Hasse elements")
         if not names:
             raise LatticeInputError("a Hasse lattice needs at least one element")
         if len(names) > 500:
             raise LatticeInputError("a Hasse lattice is limited to 500 elements")
-        if any(not isinstance(s, str) or not s for s in names):
-            raise LatticeInputError("Hasse element names must be nonempty strings")
-        if len(set(names)) != len(names):
-            raise LatticeInputError("Hasse element names must be distinct")
+        if not _distinct_names(names, len(names)) or not all(names):
+            raise LatticeInputError("Hasse element names must be distinct nonempty strings")
         self.names = names
         idx = {s: i for i, s in enumerate(names)}
         n = len(names)
         succ = [set() for _ in range(n)]
-        for pair in relations:
-            try:
-                a, b = pair
-            except (TypeError, ValueError):
-                raise LatticeInputError("each relation must be a pair [low, high]") from None
-            if a not in idx or b not in idx:
+        for pair in _sequence(relations, "Hasse relations"):
+            if not isinstance(pair, (list, tuple)) or len(pair) != 2:
+                raise LatticeInputError("each relation must be a pair [low, high]")
+            a, b = pair
+            if not isinstance(a, str) or not isinstance(b, str) or a not in idx or b not in idx:
                 raise LatticeInputError(f"relation ({a!r}, {b!r}) mentions an unknown element")
             if a == b:
                 continue
             succ[idx[a]].add(idx[b])
-        # reach[i] = {j : i <= j}, by DFS
-        reach = []
+        # up[i] has bit j set when i <= j, by DFS
+        up = []
         for i in range(n):
-            seen = {i}
+            seen = 1 << i
             stack = [i]
             while stack:
-                cur = stack.pop()
-                for nxt in succ[cur]:
-                    if nxt not in seen:
-                        seen.add(nxt)
+                for nxt in succ[stack.pop()]:
+                    if not seen >> nxt & 1:
+                        seen |= 1 << nxt
                         stack.append(nxt)
-            reach.append(seen)
+            up.append(seen)
+        index = _OrderIndex(up)
         for i in range(n):
-            for j in reach[i]:
-                if j != i and i in reach[j]:
-                    raise LatticeInputError(
-                        f"relations contain a cycle through {names[i]!r} and {names[j]!r}"
-                    )
-        self._reach = reach
-        self._meet_tbl, self._join_tbl = self._build_tables()
-        strict = [[j for j in reach[i] if j != i] for i in range(n)]
-        self._cover_up = [
-            sorted(
-                j
-                for j in strict[i]
-                if not any(k != j and j in reach[k] for k in strict[i])
-            )
-            for i in range(n)
-        ]
-        self._cover_down = [[] for _ in range(n)]
-        for i in range(n):
-            for j in self._cover_up[i]:
-                self._cover_down[j].append(i)
-        ranks = self._longest_chain_ranks()
-        self._ranks = ranks
-        self._max_rank = max(ranks)
-        atom_idxs = [i for i in range(n) if ranks[i] == 1]
-        supports = [
-            [a for a in atom_idxs if i in reach[a]] for i in range(n)
-        ]
-        powers: dict[int, list[int]] = {a: [] for a in atom_idxs}
-        for i in range(n):
-            if ranks[i] >= 1 and len(supports[i]) == 1:
-                powers[supports[i][0]].append(i)
-        self._els = []
-        for i in range(n):
-            vec = []
-            for a in atom_idxs:
-                best = 0
-                for p in powers[a]:
-                    if i in reach[p] and ranks[p] > best:
-                        best = ranks[p]
-                vec.append(best)
-            self._els.append(self._new(names[i], ranks[i], tuple(vec)))
-        self._by_name = {names[i]: self._els[i] for i in range(n)}
-        self._name_pos = idx
-
-    def _build_tables(self):
-        n = len(self.names)
-        reach = self._reach
-        meet_tbl = [[0] * n for _ in range(n)]
-        join_tbl = [[0] * n for _ in range(n)]
+            others = up[i] & index.down[i] & ~(1 << i)
+            if others:
+                j = next(_bits(others))
+                raise LatticeInputError(
+                    f"relations contain a cycle through {names[i]!r} and {names[j]!r}"
+                )
+        # the common lower bounds of a pair are the down-set of their meet,
+        # and the common upper bounds the up-set of their join, exactly
+        # when that meet and join exist
+        self._by_down = {d: k for k, d in enumerate(index.down)}
+        self._by_up = {u: k for k, u in enumerate(up)}
         for i in range(n):
             for j in range(i, n):
-                lower = [k for k in range(n) if i in reach[k] and j in reach[k]]
-                maxima = [
-                    k for k in lower if not any(m != k and m in reach[k] for m in lower)
-                ]
-                if len(maxima) != 1:
-                    raise NotALatticeError(
-                        f"pair ({self.names[i]!r}, {self.names[j]!r}) has no unique meet",
-                        pair=(self.names[i], self.names[j]),
-                    )
-                meet_tbl[i][j] = meet_tbl[j][i] = maxima[0]
-                upper = [k for k in range(n) if k in reach[i] and k in reach[j]]
-                minima = [
-                    k for k in upper if not any(m != k and k in reach[m] for m in upper)
-                ]
-                if len(minima) != 1:
-                    raise NotALatticeError(
-                        f"pair ({self.names[i]!r}, {self.names[j]!r}) has no unique join",
-                        pair=(self.names[i], self.names[j]),
-                    )
-                join_tbl[i][j] = join_tbl[j][i] = minima[0]
-        return meet_tbl, join_tbl
-
-    def _longest_chain_ranks(self):
-        n = len(self.names)
-        order = sorted(range(n), key=lambda i: -len(self._reach[i]))
-        ranks = [0] * n
-        for i in order:
-            below = self._cover_down[i]
-            ranks[i] = 1 + max((ranks[j] for j in below), default=-1)
-        return ranks
+                if index.down[i] & index.down[j] not in self._by_down:
+                    what = "meet"
+                elif up[i] & up[j] not in self._by_up:
+                    what = "join"
+                else:
+                    continue
+                raise NotALatticeError(
+                    f"pair ({names[i]!r}, {names[j]!r}) has no unique {what}",
+                    pair=(names[i], names[j]),
+                )
+        self._index = index
+        ranks = index.chain_ranks()
+        self._max_rank = max(ranks)
+        vals = index.valuations(ranks, [i for i in range(n) if ranks[i] == 1])
+        self._els = [self._new(names[i], ranks[i], vals[i]) for i in range(n)]
+        self._by_name = {names[i]: self._els[i] for i in range(n)}
+        self._name_pos = idx
 
     @property
     def top_rank(self) -> int:
@@ -709,24 +676,24 @@ class HasseLattice(PowerLattice):
         return [e for e in self._els if e.rank == level]
 
     def join(self, x, y):
-        i, j = self._pos(x), self._pos(y)
-        return self._els[self._join_tbl[i][j]]
+        up = self._index.up
+        return self._els[self._by_up[up[self._pos(x)] & up[self._pos(y)]]]
 
     def meet(self, x, y):
-        i, j = self._pos(x), self._pos(y)
-        return self._els[self._meet_tbl[i][j]]
+        down = self._index.down
+        return self._els[self._by_down[down[self._pos(x)] & down[self._pos(y)]]]
 
     def leq(self, x, y):
-        return self._pos(y) in self._reach[self._pos(x)]
+        return bool(self._index.up[self._pos(x)] >> self._pos(y) & 1)
 
     def _pos(self, x: Element) -> int:
         return self._name_pos[x.key]
 
     def covers(self, x):
-        return tuple(self._els[j] for j in self._cover_up[self._pos(x)])
+        return tuple(self._els[j] for j in _bits(self._index.upper[self._pos(x)]))
 
     def lower_covers(self, x):
-        return tuple(self._els[j] for j in self._cover_down[self._pos(x)])
+        return tuple(self._els[j] for j in _bits(self._index.lower[self._pos(x)]))
 
     def label(self, x):
         return x.key
@@ -735,7 +702,7 @@ class HasseLattice(PowerLattice):
         return x.key
 
     def element_from_obj(self, obj):
-        el = self._by_name.get(obj)
+        el = self._by_name.get(obj) if isinstance(obj, str) else None
         if el is None:
             raise LatticeInputError(f"unknown element {obj!r}")
         return el
@@ -771,7 +738,7 @@ class DivisorLattice(MultisetLattice):
     kind = "divisor"
 
     def __init__(self, n: int):
-        if not isinstance(n, int) or n < 2:
+        if not _is_int(n) or n < 2:
             raise LatticeInputError("divisor lattice needs an integer of at least 2")
         if n > 10**9:
             raise LatticeInputError("divisor lattice argument is limited to 10^9")
@@ -850,7 +817,7 @@ def lattice_from_obj(obj) -> PowerLattice:
     if kind == "hasse":
         if "elements" not in obj or "covers" not in obj:
             raise LatticeInputError("hasse lattice description needs 'elements' and 'covers'")
-        return HasseLattice(obj["elements"], [tuple(p) for p in obj["covers"]])
+        return HasseLattice(obj["elements"], obj["covers"])
     if kind == "divisor":
         if "n" not in obj:
             raise LatticeInputError("divisor lattice description needs 'n'")

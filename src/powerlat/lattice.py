@@ -11,7 +11,6 @@ downstream trusts.
 
 from __future__ import annotations
 
-import itertools
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 
@@ -402,182 +401,227 @@ class _Meter:
             raise _OutOfBudget
 
 
-def _check_lattice_laws(L, elems, meter):
-    for x in elems:
-        meter.spend(2)
-        if L.join(x, x) != x or L.meet(x, x) != x:
-            return False, {"law": "idempotence", "x": L.label(x)}, ""
-    for x, y in itertools.combinations(elems, 2):
-        meter.spend(8)
-        j = L.join(x, y)
-        m = L.meet(x, y)
-        if L.join(y, x) != j or L.meet(y, x) != m:
-            return False, {"law": "commutativity", "x": L.label(x), "y": L.label(y)}, ""
-        if L.meet(x, j) != x or L.join(x, m) != x or L.meet(y, j) != y or L.join(y, m) != y:
-            return False, {"law": "absorption", "x": L.label(x), "y": L.label(y)}, ""
-        for a, b in ((x, y), (y, x)):
-            le = L.leq(a, b)
-            if le != (m == a) or le != (j == b):
-                return (
-                    False,
-                    {"law": "order consistency", "x": L.label(a), "y": L.label(b)},
-                    "leq disagrees with join/meet",
-                )
-    for x, y, z in itertools.product(elems, repeat=3):
-        meter.spend(4)
-        if L.join(L.join(x, y), z) != L.join(x, L.join(y, z)):
-            return (
-                False,
-                {"law": "join associativity", "x": L.label(x), "y": L.label(y), "z": L.label(z)},
-                "",
-            )
-        if L.meet(L.meet(x, y), z) != L.meet(x, L.meet(y, z)):
-            return (
-                False,
-                {"law": "meet associativity", "x": L.label(x), "y": L.label(y), "z": L.label(z)},
-                "",
-            )
+def _finish_report(names, results: list, meter: _Meter) -> VerificationReport:
+    """Report on the checks `names`, of which `results` holds the first
+    ones run.  When fewer ran, the budget ran out during the next check:
+    it is marked "budget exhausted" and those after it "not run"."""
+    ran = len(results)
+    for pos in range(ran, len(names)):
+        detail = "budget exhausted" if pos == ran else "not run"
+        results.append(CheckResult(names[pos], True, False, None, detail))
+    ok = all(r.passed for r in results)
+    complete = all(r.complete for r in results)
+    return VerificationReport(ok=ok, complete=complete, ops=meter.spent, checks=results)
+
+
+# ---------------------------------------------------------------------------
+# order index
+
+
+def _bits(mask: int):
+    """Positions of the set bits of mask, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _transpose(rows: list) -> list:
+    out = [0] * len(rows)
+    for i, mask in enumerate(rows):
+        for j in _bits(mask):
+            out[j] |= 1 << i
+    return out
+
+
+class _OrderIndex:
+    """A finite order on positions 0..n-1, given by up-set bitsets: bit j of
+    up[i] is set when i <= j.  Derives the down-sets, the upper and lower
+    cover bitsets (j covers i when i < j with nothing strictly between),
+    longest-chain ranks and valuations."""
+
+    def __init__(self, up: list):
+        self.up = up
+        self.down = _transpose(up)
+        self.upper = []
+        for i, mask in enumerate(up):
+            strict = mask & ~(1 << i)
+            cover = 0
+            for j in _bits(strict):
+                if strict & self.down[j] == 1 << j:
+                    cover |= 1 << j
+            self.upper.append(cover)
+        self.lower = _transpose(self.upper)
+
+    def chain_ranks(self) -> list:
+        """Length of the longest chain down from each position.  Needs an
+        acyclic order: a strictly smaller element has a smaller down-set."""
+        ranks = [0] * len(self.up)
+        for i in sorted(range(len(ranks)), key=lambda i: self.down[i].bit_count()):
+            ranks[i] = 1 + max((ranks[j] for j in _bits(self.lower[i])), default=-1)
+        return ranks
+
+    def powers(self, ranks: list, atoms: list) -> list:
+        """(z, k) for each position z, ascending, that is a power of atom
+        atoms[k]: z has positive rank and atoms[k] is the only atom below it."""
+        which = {1 << a: k for k, a in enumerate(atoms)}
+        atom_mask = sum(which)
+        return [
+            (z, which[below])
+            for z, below in enumerate(d & atom_mask for d in self.down)
+            if ranks[z] >= 1 and below in which
+        ]
+
+    def valuations(self, ranks: list, atoms: list) -> list:
+        """Per position x, per atom w of `atoms`: the largest rank of a
+        power of w below x, zero when there is none."""
+        vals = [[0] * len(atoms) for _ in self.up]
+        for z, k in self.powers(ranks, atoms):
+            for x in _bits(self.up[z]):
+                vals[x][k] = max(vals[x][k], ranks[z])
+        return [tuple(v) for v in vals]
+
+
+class _Tables:
+    """leq, join and meet of L read once per ordered pair of L.elements(),
+    on positions in that list.  A join or meet outside the list is given
+    the next free position, from n on."""
+
+    def __init__(self, L: PowerLattice, meter: _Meter):
+        inside = L.elements()
+        n = len(inside)
+        els = list(inside)
+        pos = {x: i for i, x in enumerate(els)}
+
+        def at(x) -> int:
+            if x not in pos:
+                pos[x] = len(els)
+                els.append(x)
+            return pos[x]
+
+        up, self.join, self.meet = [], [], []
+        for x in inside:
+            meter.spend(3 * n)
+            up.append(sum(1 << j for j, y in enumerate(inside) if L.leq(x, y)))
+            self.join.append([at(L.join(x, y)) for y in inside])
+            self.meet.append([at(L.meet(x, y)) for y in inside])
+        self.L = L
+        self.n = n
+        self.els = els
+        self.ranks = [x.rank for x in els]
+        self.index = _OrderIndex(up)
+        atoms = [pos[a] for a in L.atoms]
+        self.powers = self.index.powers(self.ranks, atoms)
+        self.vals = self.index.valuations(self.ranks, atoms)
+
+    def label(self, i: int) -> str:
+        return self.L.label(self.els[i])
+
+
+def _check_lattice_laws(t: _Tables):
+    # leq is a partial order and join and meet give least upper and
+    # greatest lower bounds under it: equivalent to idempotence,
+    # commutativity, associativity, absorption and the order being the one
+    # of join and meet (Davey & Priestley, Introduction to Lattices and
+    # Order, 2002, Ch. 2), in O(n^2) bitset operations
+    n, up, down = t.n, t.index.up, t.index.down
+
+    def fail(law, detail, *where):
+        return False, {"law": law, **dict(zip("xyz", map(t.label, where)))}, detail
+
+    for i in range(n):
+        if not up[i] >> i & 1:
+            return fail("reflexivity", "leq is not reflexive", i)
+        if up[i] & down[i] != 1 << i:
+            other = next(_bits(up[i] & down[i] & ~(1 << i)))
+            return fail("antisymmetry", "leq is not antisymmetric", i, other)
+    for i in range(n):
+        for j in _bits(up[i]):
+            beyond = up[j] & ~up[i]
+            if beyond:
+                return fail("transitivity", "leq is not transitive", i, j, next(_bits(beyond)))
+    for law, op, table, sets in (
+        ("least upper bound", "join", t.join, up),
+        ("greatest lower bound", "meet", t.meet, down),
+    ):
+        for i, row in enumerate(table):
+            for j, k in enumerate(row):
+                if k >= n:
+                    return fail("closure", f"{op} leaves the element set", i, j)
+                if sets[k] != sets[i] & sets[j]:
+                    return fail(law, f"{op} is not the {law} under leq", i, j)
     return True, None, ""
 
 
-def _check_rank_covers(L, elems, meter):
-    bot = min(elems, key=lambda e: e.rank)
-    if bot.rank != 0:
-        return False, {"x": L.label(bot), "rank": bot.rank}, "no rank 0 element"
-    ups = {}
-    for x in elems:
-        ux = []
-        for y in elems:
-            if y is x:
-                continue
-            meter.spend(1)
-            if L.leq(x, y):
-                if y.rank <= x.rank:
-                    return (
-                        False,
-                        {"x": L.label(x), "y": L.label(y), "ranks": [x.rank, y.rank]},
-                        "rank is not strictly monotone",
-                    )
-                ux.append(y)
-        ups[id(x)] = ux
-    for x in elems:
-        ux = ups[id(x)]
-        for y in ux:
-            meter.spend(len(ux))
-            if any(z != y and L.leq(z, y) for z in ux):
-                continue  # not a cover of x
-            if y.rank != x.rank + 1:
-                return (
-                    False,
-                    {"x": L.label(x), "y": L.label(y), "ranks": [x.rank, y.rank]},
-                    "cover does not raise rank by one",
-                )
+def _check_rank_covers(t: _Tables):
+    ranks, up = t.ranks, t.index.up
+    bot = min(range(t.n), key=ranks.__getitem__)
+    if ranks[bot] != 0:
+        return False, {"x": t.label(bot), "rank": ranks[bot]}, "no rank 0 element"
+    for i in range(t.n):
+        for j in _bits(up[i] & ~(1 << i)):
+            if ranks[j] <= ranks[i]:
+                witness = {"x": t.label(i), "y": t.label(j), "ranks": [ranks[i], ranks[j]]}
+                return False, witness, "rank is not strictly monotone"
+    for i in range(t.n):
+        for j in _bits(t.index.upper[i]):
+            if ranks[j] != ranks[i] + 1:
+                witness = {"x": t.label(i), "y": t.label(j), "ranks": [ranks[i], ranks[j]]}
+                return False, witness, "cover does not raise rank by one"
     return True, None, ""
 
 
-def _check_semimodularity(L, elems, meter):
-    for x, y in itertools.combinations(elems, 2):
-        meter.spend(2)
-        if L.join(x, y).rank + L.meet(x, y).rank > x.rank + y.rank:
-            return False, {"x": L.label(x), "y": L.label(y)}, ""
+def _check_semimodularity(t: _Tables):
+    ranks = t.ranks
+    for i in range(t.n):
+        for j in range(i + 1, t.n):
+            if ranks[t.join[i][j]] + ranks[t.meet[i][j]] > ranks[i] + ranks[j]:
+                return False, {"x": t.label(i), "y": t.label(j)}, ""
     return True, None, ""
 
 
-def _atom_supports(L, elems, meter):
-    atoms = L.atoms
-    supports = {}
-    for z in elems:
-        meter.spend(len(atoms))
-        supports[id(z)] = [i for i, a in enumerate(atoms) if L.leq(a, z)]
-    return supports
-
-
-def _check_unique_atom_powers(L, elems, meter):
-    supports = _atom_supports(L, elems, meter)
+def _check_unique_atom_powers(t: _Tables):
     seen: dict = {}
-    for z in elems:
-        if z.rank < 1:
-            continue
-        sup = supports[id(z)]
-        if len(sup) != 1:
-            continue
-        key = (sup[0], z.rank)
-        other = seen.get(key)
-        if other is not None:
-            return (
-                False,
-                {
-                    "atom": L.label(L.atoms[sup[0]]),
-                    "rank": z.rank,
-                    "x": L.label(other),
-                    "y": L.label(z),
-                },
-                "two distinct powers of one atom at the same rank",
-            )
-        seen[key] = z
+    for z, k in t.powers:
+        rank = t.ranks[z]
+        other = seen.setdefault((k, rank), z)
+        if other != z:
+            witness = {
+                "atom": t.L.label(t.L.atoms[k]),
+                "rank": rank,
+                "x": t.label(other),
+                "y": t.label(z),
+            }
+            return False, witness, "two distinct powers of one atom at the same rank"
     return True, None, ""
 
 
-def _scan_valuations(L, elems, meter):
-    # Independent of the cached vectors: powers found by support scan, then
-    # v_w(x) = max rank of a power of w below x.
-    atoms = L.atoms
-    supports = _atom_supports(L, elems, meter)
-    powers = [[] for _ in atoms]
-    for z in elems:
-        sup = supports[id(z)]
-        if z.rank >= 1 and len(sup) == 1:
-            powers[sup[0]].append(z)
-    table = {}
-    for x in elems:
-        vec = []
-        for i in range(len(atoms)):
-            best = 0
-            for z in powers[i]:
-                meter.spend(1)
-                if L.leq(z, x) and z.rank > best:
-                    best = z.rank
-            vec.append(best)
-        table[id(x)] = tuple(vec)
-    return table
-
-
-def _check_rank_by_total_valuation(L, elems, meter):
-    vals = _scan_valuations(L, elems, meter)
-    by_rank: dict[int, dict[int, Element]] = {}
-    by_total: dict[int, dict[int, Element]] = {}
-    for x in elems:
-        total = sum(vals[id(x)])
-        firsts = by_rank.setdefault(x.rank, {})
-        if total not in firsts:
-            firsts[total] = x
-            if len(firsts) > 1:
-                (t1, e1), (t2, e2) = list(firsts.items())[:2]
-                return (
-                    False,
-                    {"x": L.label(e1), "y": L.label(e2), "rank": x.rank, "totals": [t1, t2]},
-                    "equal rank but different valuation totals",
-                )
-        firsts = by_total.setdefault(total, {})
-        if x.rank not in firsts:
-            firsts[x.rank] = x
-            if len(firsts) > 1:
-                (r1, e1), (r2, e2) = list(firsts.items())[:2]
-                return (
-                    False,
-                    {"x": L.label(e1), "y": L.label(e2), "total": total, "ranks": [r1, r2]},
-                    "equal valuation totals but different ranks",
-                )
+def _check_rank_by_total_valuation(t: _Tables):
+    # the first element of each rank and of each total is the one that a
+    # later element disagreeing with it is reported against
+    totals = [sum(v) for v in t.vals]
+    first_of_rank: dict[int, int] = {}
+    first_of_total: dict[int, int] = {}
+    for x in range(t.n):
+        rank, total = t.ranks[x], totals[x]
+        e = first_of_rank.setdefault(rank, x)
+        if totals[e] != total:
+            witness = {"x": t.label(e), "y": t.label(x), "rank": rank, "totals": [totals[e], total]}
+            return False, witness, "equal rank but different valuation totals"
+        e = first_of_total.setdefault(total, x)
+        if t.ranks[e] != rank:
+            witness = {"x": t.label(e), "y": t.label(x), "total": total, "ranks": [t.ranks[e], rank]}
+            return False, witness, "equal valuation totals but different ranks"
     return True, None, ""
 
 
-def _check_valuation_consistency(L, elems, meter):
-    vals = _scan_valuations(L, elems, meter)
-    for x in elems:
-        if vals[id(x)] != x.valuation:
+def _check_valuation_consistency(t: _Tables):
+    for x in range(t.n):
+        cached = t.els[x].valuation
+        if t.vals[x] != cached:
             return (
                 False,
-                {"x": L.label(x), "cached": list(x.valuation), "scanned": list(vals[id(x)])},
+                {"x": t.label(x), "cached": list(cached), "scanned": list(t.vals[x])},
                 "cached valuation disagrees with the definition",
             )
     return True, None, ""
@@ -591,17 +635,22 @@ _CHECKS = (
     ("rank_by_total_valuation", _check_rank_by_total_valuation),
     ("valuation_consistency", _check_valuation_consistency),
 )
+_CHECK_NAMES = tuple(name for name, _ in _CHECKS)
 
 
 def verify_power_lattice(L: PowerLattice, budget: int = 5_000_000) -> VerificationReport:
     """Check every power lattice axiom, with witnesses for failures.
 
-    Checks: lattice laws (idempotence, commutativity, absorption, order
-    consistency, associativity), rank grading by covers, semimodularity,
-    at most one power per atom and rank, rank determined by valuation
-    totals, and cached valuations against their definition.  Join, meet,
-    and order queries count against the budget; when it runs out the
-    remaining checks are reported as incomplete rather than failed.
+    `leq`, `join` and `meet` are queried once per ordered pair of elements:
+    3n^2 queries, counted in the report's `ops`.  A budget too small for
+    them leaves the checks incomplete rather than failed.  The checks read
+    those tables: lattice laws (join and meet stay in the element set and
+    give least upper and greatest lower bounds under the partial order
+    leq; a failure names its law: closure, reflexivity, antisymmetry,
+    transitivity, least upper bound or greatest lower bound), rank grading
+    by covers, semimodularity, at most one power per atom and rank, rank
+    determined by valuation totals, and cached valuations against their
+    definition.
     """
     count = L.element_count()
     if count * count > budget:
@@ -609,22 +658,16 @@ def verify_power_lattice(L: PowerLattice, budget: int = 5_000_000) -> Verificati
             ok=True,
             complete=False,
             ops=0,
-            checks=[CheckResult(name, True, False, None, "not run") for name, _ in _CHECKS],
+            checks=[CheckResult(name, True, False, None, "not run") for name in _CHECK_NAMES],
             detail=f"{count} elements exceed the pairwise budget; nothing was checked",
         )
-    elems = L.elements()
     meter = _Meter(budget)
     results: list[CheckResult] = []
-    names = [name for name, _ in _CHECKS]
-    for pos, (name, fn) in enumerate(_CHECKS):
-        try:
-            passed, witness, detail = fn(L, elems, meter)
+    try:
+        t = _Tables(L, meter)
+        for name, fn in _CHECKS:
+            passed, witness, detail = fn(t)
             results.append(CheckResult(name, passed, True, witness, detail))
-        except _OutOfBudget:
-            results.append(CheckResult(name, True, False, None, "budget exhausted"))
-            for rest in names[pos + 1 :]:
-                results.append(CheckResult(rest, True, False, None, "not run"))
-            break
-    ok = all(r.passed for r in results)
-    complete = all(r.complete for r in results)
-    return VerificationReport(ok=ok, complete=complete, ops=meter.spent, checks=results)
+    except _OutOfBudget:
+        pass
+    return _finish_report(_CHECK_NAMES, results, meter)

@@ -21,6 +21,7 @@ from .lattice import (
     LatticeInputError,
     PowerLattice,
     VerificationReport,
+    _finish_report,
     _Meter,
     _OutOfBudget,
 )
@@ -55,18 +56,6 @@ def uniform_matroid(L: PowerLattice, k: int) -> Matroid:
 
 # ---------------------------------------------------------------------------
 # independence axioms
-
-
-def _report(meter, results, names, pos):
-    results.append(CheckResult(names[pos], True, False, None, "budget exhausted"))
-    for rest in names[pos + 1 :]:
-        results.append(CheckResult(rest, True, False, None, "not run"))
-
-
-def _finish(meter, results):
-    ok = all(r.passed for r in results)
-    complete = all(r.complete for r in results)
-    return VerificationReport(ok=ok, complete=complete, ops=meter.spent, checks=results)
 
 
 def _verify_independence_multiset(L: MultisetLattice, ind, meter, results, names):
@@ -218,8 +207,8 @@ def verify_independence_axioms(L, independents=None, budget: int = 5_000_000) ->
         else:
             _verify_independence_generic(M.host, M.independents, meter, results, names)
     except _OutOfBudget:
-        _report(meter, results, names, len(results))
-    return _finish(meter, results)
+        pass
+    return _finish_report(names, results, meter)
 
 
 # ---------------------------------------------------------------------------
@@ -265,7 +254,7 @@ def verify_basis_axioms(L, basis_elements, budget: int = 5_000_000) -> Verificat
     if not B:
         results.append(CheckResult(names[1], True, True))
         results.append(CheckResult(names[2], True, True))
-        return _finish(meter, results)
+        return _finish_report(names, results, meter)
 
     try:
         witness = None
@@ -315,8 +304,8 @@ def verify_basis_axioms(L, basis_elements, budget: int = 5_000_000) -> Verificat
             )
         )
     except _OutOfBudget:
-        _report(meter, results, names, len(results))
-    return _finish(meter, results)
+        pass
+    return _finish_report(names, results, meter)
 
 
 def dual_exchange_witness(L, basis_elements, x: Element, y: Element, a: Element):

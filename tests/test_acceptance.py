@@ -5,6 +5,7 @@ One test per criterion, each printing a single PASS or FAIL verdict line
 """
 
 import itertools
+import math
 import random
 import time
 
@@ -46,7 +47,7 @@ from powerlat import (
     verify_shelling,
 )
 
-from test_graphic import SLOTS, canonical, check_graph, graph_of
+from test_graphic import SLOTS, check_graph, graph_classes, graph_of
 from test_lattice import figure_lattice, q8_lattice
 from test_matroid import exchange_conclusion_ok
 from test_ordercomplex import RP2_FACETS, simplicial
@@ -179,30 +180,24 @@ def test_criterion_3_uniform_matroids():
 def test_criterion_4_weighted_graph_sweep():
     t0 = time.perf_counter()
     bad = []
-    options = [(slot, w) for slot in SLOTS for w in (1, 2)]
-    seen = set()
-    total = 0
-    for size in range(1, 6):
-        for combo in itertools.combinations_with_replacement(options, size):
-            total += 1
-            key = canonical(combo)
-            if key in seen:
-                continue
-            seen.add(key)
-            try:
-                check_graph(combo, shelling=False)
-            except AssertionError:
-                bad.append(combo)
+    classes = graph_classes()
+    options = len(SLOTS) * 2  # each slot with weight 1 or 2
+    total = sum(math.comb(options + size - 1, size) for size in range(1, 6))
+    for combo in classes:
+        try:
+            check_graph(combo, shelling=False)
+        except AssertionError:
+            bad.append(combo)
     elapsed = time.perf_counter() - t0
     verdict(
         4,
-        f"{len(seen)} weighted graph classes (from {total} edge multisets, up to"
+        f"{len(classes)} weighted graph classes (from {total} edge multisets, up to"
         " 5 edges, weights 1..2, 4 vertices) all match the forest oracle",
-        not bad and len(seen) == 2924 and elapsed < 300.0,
+        not bad and len(classes) == 2924 and elapsed < 300.0,
         t0,
     )
     assert not bad, bad[:3]
-    assert len(seen) == 2924
+    assert len(classes) == 2924
     assert elapsed < 300.0
 
 
@@ -270,19 +265,12 @@ def test_criterion_5_order_shellings(corpus):
             check_complex(
                 (L.kind, k), independence_complex(uniform_matroid(L, k)), True
             )
-    options = [(slot, w) for slot in SLOTS for w in (1, 2)]
-    seen = set()
-    for size in range(1, 6):
-        for combo in itertools.combinations_with_replacement(options, size):
-            key = canonical(combo)
-            if key in seen:
-                continue
-            seen.add(key)
-            check_complex(
-                ("graph", combo),
-                independence_complex(graphic_matroid(graph_of(combo))),
-                size <= 3,
-            )
+    for combo in graph_classes():
+        check_complex(
+            ("graph", combo),
+            independence_complex(graphic_matroid(graph_of(combo))),
+            len(combo) <= 3,
+        )
     if not_shelled:
         bad.append(
             (
@@ -451,22 +439,17 @@ def test_criterion_9_polarized_shellings():
     L = build_multiset((2, 2, 1))
     for k in range(1, 5):
         deltas.append(multicomplex_from_pcomplex(independence_complex(uniform_matroid(L, k))))
-    options = [(slot, w) for slot in SLOTS for w in (1, 2)]
-    seen = set()
     graphic = 0
-    for size in (1, 2, 3):
-        for combo in itertools.combinations_with_replacement(options, size):
-            key = canonical(combo)
-            if key in seen:
-                continue
-            seen.add(key)
-            M = graphic_matroid(graph_of(combo))
-            B = bases(M)
-            top = M.host.top
-            if any(b.key == top.key for b in B):
-                continue
-            deltas.append(multicomplex_from_pcomplex(independence_complex(M)))
-            graphic += 1
+    for combo in graph_classes():
+        if len(combo) > 3:
+            continue
+        M = graphic_matroid(graph_of(combo))
+        B = bases(M)
+        top = M.host.top
+        if any(b.key == top.key for b in B):
+            continue
+        deltas.append(multicomplex_from_pcomplex(independence_complex(M)))
+        graphic += 1
     for delta in deltas:
         rep = polarized_shelling(delta)
         if not (rep.ok and verify_nonpure_shelling(rep.order).ok):

@@ -6,6 +6,7 @@ import pytest
 
 from powerlat.cli import main
 
+from test_instances import MALFORMED_SPECS
 from test_lattice import FIGURE_COVERS, FIGURE_ELEMENTS
 
 M22 = {"type": "multiset", "exponents": [2, 2]}
@@ -94,6 +95,11 @@ class TestLattice:
         p.write_text("{not json")
         code, out, err = run(capsys, "lattice", "verify", str(p))
         assert code == 2 and "error:" in err
+
+    @pytest.mark.parametrize("spec", MALFORMED_SPECS, ids=json.dumps)
+    def test_malformed_spec(self, capsys, write, spec):
+        code, out, err = run(capsys, "lattice", "verify", write("bad.json", spec))
+        assert code == 2 and err.startswith("error:") and not out
 
     def test_budget_keeps_verdict_open(self, capsys, write):
         code, rep, _ = jrun(

@@ -7,6 +7,7 @@ checked on each sampled graph.  The exhaustive sweep over all such graphs
 up to isomorphism runs in the acceptance suite.
 """
 
+import functools
 import itertools
 import random
 
@@ -105,6 +106,23 @@ def check_graph(spec, shelling=True):
 def all_specs(size):
     options = [(slot, wt) for slot in SLOTS for wt in (1, 2)]
     return itertools.combinations_with_replacement(options, size)
+
+
+@functools.cache
+def graph_classes():
+    """One edge multiset per isomorphism class of weighted graphs with 1 to
+    5 edges: the first of its class met when the multisets are listed by
+    size, then in combination order.  Cached, since the 53,129 calls to
+    `canonical` take seconds and three acceptance criteria use the list."""
+    seen = set()
+    reps = []
+    for size in range(1, 6):
+        for spec in all_specs(size):
+            key = canonical(spec)
+            if key not in seen:
+                seen.add(key)
+                reps.append(spec)
+    return tuple(reps)
 
 
 class TestSmallGraphClasses:

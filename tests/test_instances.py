@@ -1,5 +1,7 @@
 """Concrete lattice constructions and their JSON descriptions."""
 
+import json
+
 import pytest
 
 from powerlat import (
@@ -16,6 +18,25 @@ from powerlat import (
 )
 
 from test_lattice import FIGURE_COVERS, FIGURE_ELEMENTS, Q8_COVERS, Q8_ELEMENTS
+
+# JSON lattice descriptions of the wrong shape or type: each must be
+# refused with LatticeInputError, never a TypeError
+MALFORMED_SPECS = [
+    {"type": "subspace", "q": 2.0, "n": 3},
+    {"type": "subspace", "q": 2, "n": True},
+    {"type": "boolean", "n": True},
+    {"type": "boolean", "n": 3, "labels": 5},
+    {"type": "boolean", "n": 2, "labels": [["a"], ["b"]]},
+    {"type": "multiset", "exponents": 3},
+    {"type": "multiset", "exponents": [True, 2]},
+    {"type": "multiset", "exponents": [2.0, 2]},
+    {"type": "divisor", "n": 12.0},
+    {"type": "hasse", "elements": ["a", "b"], "covers": 5},
+    {"type": "hasse", "elements": 5, "covers": []},
+    {"type": "hasse", "elements": "ab", "covers": []},
+    {"type": "hasse", "elements": ["a", "b"], "covers": [["a", ["b"]]]},
+    {"type": "hasse", "elements": ["a", "b"], "covers": ["ab"]},
+]
 
 
 class TestBoolean:
@@ -263,6 +284,18 @@ class TestFromObj:
     def test_unknown_type_rejected(self):
         with pytest.raises(LatticeInputError):
             lattice_from_obj({"type": "zircon"})
+
+    @pytest.mark.parametrize("spec", MALFORMED_SPECS, ids=json.dumps)
+    def test_malformed_spec_rejected(self, spec):
+        with pytest.raises(LatticeInputError):
+            lattice_from_obj(spec)
+
+    def test_element_encodings_of_the_wrong_type_rejected(self):
+        B = build_boolean(2)
+        H = build_hasse(["0", "a", "1"], [["0", "a"], ["a", "1"]])
+        for L, obj in ((B, [["a"]]), (H, ["a"]), (build_multiset((2,)), [True])):
+            with pytest.raises(LatticeInputError):
+                L.element_from_obj(obj)
 
     def test_missing_type_rejected(self):
         with pytest.raises(LatticeInputError):

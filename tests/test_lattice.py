@@ -6,6 +6,7 @@ import itertools
 import pytest
 
 from powerlat import (
+    BooleanLattice,
     LatticeInputError,
     atom_power,
     build_boolean,
@@ -21,6 +22,8 @@ from powerlat import (
     valuation,
     verify_power_lattice,
 )
+
+from verifier_oracles import oracle_verify
 
 # Hasse diagram of the seven-element non-example: two rank-2 elements with
 # different total valuations.
@@ -58,6 +61,42 @@ Q8_COVERS = [
 
 def q8_lattice():
     return build_hasse(Q8_ELEMENTS, Q8_COVERS)
+
+
+A, B = frozenset({0}), frozenset({1})
+
+
+class JoinIsABC(BooleanLattice):
+    """join({a},{b}) is the subset {a,b,c}: an upper bound but not the
+    least one on three atoms, and not an element at all on two."""
+
+    def join(self, x, y):
+        if {x.key, y.key} == {A, B}:
+            return self._make(frozenset({0, 1, 2}))
+        return super().join(x, y)
+
+
+class MissingRelation(BooleanLattice):
+    """leq leaves out {} <= {a,b}, which meet({},{a,b}) = {} implies."""
+
+    def leq(self, x, y):
+        return super().leq(x, y) and not (not x.key and y.key == A | B)
+
+
+class LopsidedMeet(BooleanLattice):
+    """meet({a},{b}) is {a}, while meet({b},{a}) is {}."""
+
+    def meet(self, x, y):
+        if (x.key, y.key) == (A, B):
+            return x
+        return super().meet(x, y)
+
+
+class SymmetricLeq(BooleanLattice):
+    """leq also puts {a} and {b} below each other."""
+
+    def leq(self, x, y):
+        return super().leq(x, y) or {x.key, y.key} == {A, B}
 
 
 def by_label(L, text):
@@ -296,6 +335,39 @@ class TestVerifier:
             for check in rep.checks:
                 if not check.passed and check.complete:
                     assert check.witness is not None
+
+    @pytest.mark.parametrize(
+        "L, law, x, y",
+        [
+            (JoinIsABC(3), "least upper bound", "{a}", "{b}"),
+            (MissingRelation(2), "transitivity", "{}", "{a}"),
+            (LopsidedMeet(2), "greatest lower bound", "{a}", "{b}"),
+            (JoinIsABC(2), "closure", "{a}", "{b}"),
+            (SymmetricLeq(2), "antisymmetry", "{a}", "{b}"),
+        ],
+        ids=["loose join", "missing relation", "lopsided meet", "escaping join", "symmetric leq"],
+    )
+    def test_lattice_law_failures_carry_witnesses(self, L, law, x, y):
+        rep = verify_power_lattice(L)
+        check = rep.check("lattice_laws")
+        assert not rep.ok and rep.complete
+        assert not check.passed and check.detail
+        assert (check.witness["law"], check.witness["x"], check.witness["y"]) == (law, x, y)
+        assert not oracle_verify(L).check("lattice_laws").passed
+
+    def test_budget_runs_out_while_reading_the_tables(self):
+        # 64 < budget < 192: the n^2 gate lets the checks start, and the
+        # 3n^2 queries of the table reading do not fit
+        rep = verify_power_lattice(build_boolean(3), budget=100)
+        assert rep.ok and not rep.complete and rep.ops <= 3 * 64
+        assert [(c.name, c.complete, c.detail) for c in rep.checks] == [
+            ("lattice_laws", False, "budget exhausted"),
+            ("rank_covers", False, "not run"),
+            ("semimodularity", False, "not run"),
+            ("unique_atom_powers", False, "not run"),
+            ("rank_by_total_valuation", False, "not run"),
+            ("valuation_consistency", False, "not run"),
+        ]
 
     def test_budget_marks_report_incomplete(self):
         rep = verify_power_lattice(build_boolean(4), budget=50)

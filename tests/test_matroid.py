@@ -96,6 +96,11 @@ class TestVerifyIndependence:
         rep = verify_independence_axioms(L, L.elements(), budget=3)
         assert not rep.complete
         assert rep.ok
+        assert [(c.name, c.complete, c.detail) for c in rep.checks] == [
+            ("I1_bottom", True, ""),
+            ("I2_downward_closed", False, "budget exhausted"),
+            ("I3_exchange", False, "not run"),
+        ]
 
     def test_generic_path_agrees_with_multiset_path(self):
         # the same lattice presented by its cover relations must give the
