@@ -3,18 +3,25 @@
 A matroid here is a downward closed family of lattice elements containing
 the bottom and satisfying the valuation exchange axiom: whenever x, y are
 independent with rho(x) < rho(y), some atom a has v_a(x) < v_a(y) and
-x v a^{v_a(x)+1} independent.  Bases are the maximal independents; the
-basis axioms and the dual exchange theorem are checked as stated, and the
-bases sorted by the rank-level order are checked to shell the independence
-complex.  Weighted graphs give matroids on multiset lattices over their
-edges: a multiset is independent when its full-weight edges are acyclic.
+x v a^{v_a(x)+1} independent.  One implementation of each check serves
+every host lattice: it reads lower covers, atom powers and joins only.
+The independents are walked in `sort_key` order, so a failing check's
+witness is the first one in rank-level order, whatever the hash seed.
+The `ops` of an independence report counts the lower covers scanned, the
+atoms tried and the pairs of independents compared.
+`bases` returns the maximal independents of any family, downward closed
+or not.  The basis axioms and the dual exchange theorem are checked as
+stated, and the bases in the rank-level order are checked to shell the
+independence complex.  Weighted graphs give matroids on multiset lattices
+over their edges: a multiset is independent when its full-weight edges
+are acyclic.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .instances import MultisetLattice
+from .instances import MultisetLattice, _is_int, _sequence
 from .lattice import (
     CheckResult,
     Element,
@@ -58,123 +65,45 @@ def uniform_matroid(L: PowerLattice, k: int) -> Matroid:
 # independence axioms
 
 
-def _verify_independence_multiset(L: MultisetLattice, ind, meter, results, names):
-    keys = {x.key for x in ind}
-    bounds = L.exponents
-    nv = len(bounds)
-
-    passed = (0,) * nv in keys
-    results.append(
-        CheckResult(names[0], passed, True, None if passed else {"missing": "1"})
-    )
-
-    witness = None
-    for t in keys:
-        meter.spend(nv)
-        for i in range(nv):
-            if t[i] and t[:i] + (t[i] - 1,) + t[i + 1 :] not in keys:
-                witness = {
-                    "x": L.label(L.element(t)),
-                    "missing": L.label(L.element(t[:i] + (t[i] - 1,) + t[i + 1 :])),
-                }
-                break
-        if witness:
-            break
-    results.append(CheckResult(names[1], witness is None, True, witness))
-
-    by_rank: dict[int, list] = {}
-    for t in keys:
-        by_rank.setdefault(sum(t), []).append(t)
-    incs = {}
-    for t in keys:
-        entries = []
-        for i in range(nv):
-            if t[i] < bounds[i]:
-                up = t[:i] + (t[i] + 1,) + t[i + 1 :]
-                entries.append((i, t[i], up in keys))
-        incs[t] = tuple(entries)
-    witness = None
-    ranks = sorted(by_rank)
-    for ri, r1 in enumerate(ranks):
-        if witness:
-            break
-        for r2 in ranks[ri + 1 :]:
-            if witness:
-                break
-            for x in by_rank[r1]:
-                ix = incs[x]
-                for y in by_rank[r2]:
-                    meter.spend(1)
-                    for i, xi, up_in in ix:
-                        if xi < y[i] and up_in:
-                            break
-                    else:
-                        witness = {
-                            "x": L.label(L.element(x)),
-                            "y": L.label(L.element(y)),
-                        }
-                        break
-                if witness:
-                    break
-    results.append(
-        CheckResult(
-            names[2],
-            witness is None,
-            True,
-            witness,
-            "" if witness is None else "no atom augments x toward y inside the family",
-        )
-    )
+def _raise(L: PowerLattice, x: Element, i: int):
+    """x v a_i^{v_i(x)+1}, or None when atom a_i has no power that high."""
+    p = L.atom_power(L.atoms[i], x.valuation[i] + 1)
+    return None if p is None else L.join(x, p)
 
 
-def _verify_independence_generic(L: PowerLattice, ind, meter, results, names):
-    ind_set = frozenset(ind)
+def _verify_independence(L: PowerLattice, ind, meter, results, names):
+    order = sorted(ind, key=L.sort_key)
 
-    passed = L.bottom in ind_set
+    passed = L.bottom in ind
     results.append(
         CheckResult(names[0], passed, True, None if passed else {"missing": L.label(L.bottom)})
     )
 
+    # every element below x lies below one of its lower covers
     witness = None
-    elems = L.elements()
-    for x in ind:
-        for y in elems:
-            meter.spend(1)
-            if y not in ind_set and L.lt(y, x):
-                witness = {"x": L.label(x), "missing": L.label(y)}
-                break
-        if witness:
+    for x in order:
+        below = L.lower_covers(x)
+        meter.spend(len(below))
+        missing = next((y for y in below if y not in ind), None)
+        if missing is not None:
+            witness = {"x": L.label(x), "missing": L.label(missing)}
             break
     results.append(CheckResult(names[1], witness is None, True, witness))
 
+    # per independent x below the top rank level, the atoms a with
+    # x v a^{v_a(x)+1} independent, with v_a(x)
     by_rank: dict[int, list] = {}
-    for x in ind:
+    for x in order:
         by_rank.setdefault(x.rank, []).append(x)
-    witness = None
-    ranks = sorted(by_rank)
-    atoms = L.atoms
-    for ri, r1 in enumerate(ranks):
-        if witness:
-            break
-        for r2 in ranks[ri + 1 :]:
-            if witness:
-                break
-            for x in by_rank[r1]:
-                for y in by_rank[r2]:
-                    found = False
-                    for i, a in enumerate(atoms):
-                        if x.valuation[i] >= y.valuation[i]:
-                            continue
-                        meter.spend(2)
-                        p = L.atom_power(a, x.valuation[i] + 1)
-                        if p is not None and L.join(x, p) in ind_set:
-                            found = True
-                            break
-                    if not found:
-                        witness = {"x": L.label(x), "y": L.label(y)}
-                        break
-                if witness:
-                    break
+    levels = [by_rank[r] for r in sorted(by_rank)]
+    nv = len(L.atoms)
+    ups = {}
+    for xs in levels[:-1]:
+        for x in xs:
+            meter.spend(nv)
+            ups[x] = [(i, x.valuation[i]) for i in range(nv) if _raise(L, x, i) in ind]
+    pair = _unaugmented_pair(levels, ups, meter)
+    witness = None if pair is None else {"x": L.label(pair[0]), "y": L.label(pair[1])}
     results.append(
         CheckResult(
             names[2],
@@ -184,6 +113,25 @@ def _verify_independence_generic(L: PowerLattice, ind, meter, results, names):
             "" if witness is None else "no atom augments x toward y inside the family",
         )
     )
+
+
+def _unaugmented_pair(levels, ups, meter):
+    """The first pair (x, y) with rho(x) < rho(y) for which no (i, v_i(x))
+    in ups[x] has v_i(x) < v_i(y): the rank levels ascending, each pair of
+    levels x's before y's.  None when there is no such pair."""
+    for k, xs in enumerate(levels):
+        for ys in levels[k + 1 :]:
+            for x in xs:
+                up = ups[x]
+                for y in ys:
+                    meter.spend(1)
+                    yv = y.valuation
+                    for i, xi in up:
+                        if xi < yv[i]:
+                            break
+                    else:
+                        return x, y
+    return None
 
 
 def verify_independence_axioms(L, independents=None, budget: int = 5_000_000) -> VerificationReport:
@@ -193,6 +141,11 @@ def verify_independence_axioms(L, independents=None, budget: int = 5_000_000) ->
     I3: for independents x, y with rho(x) < rho(y), some atom a has
     v_a(x) < v_a(y) and x v a^{v_a(x)+1} independent.  Accepts a Matroid or
     a lattice plus an iterable of its elements.
+
+    The independents are taken in `sort_key` order, so a witness is the
+    first failure in rank-level order.  `ops` counts the lower covers
+    scanned (I2), the atoms tried (I3: every atom, for each independent
+    below the family's top rank) and the pairs compared (I3).
     """
     if isinstance(L, Matroid):
         M = L
@@ -202,10 +155,7 @@ def verify_independence_axioms(L, independents=None, budget: int = 5_000_000) ->
     meter = _Meter(budget)
     results: list[CheckResult] = []
     try:
-        if isinstance(M.host, MultisetLattice):
-            _verify_independence_multiset(M.host, M.independents, meter, results, names)
-        else:
-            _verify_independence_generic(M.host, M.independents, meter, results, names)
+        _verify_independence(M.host, M.independents, meter, results, names)
     except _OutOfBudget:
         pass
     return _finish_report(names, results, meter)
@@ -216,22 +166,23 @@ def verify_independence_axioms(L, independents=None, budget: int = 5_000_000) ->
 
 
 def bases(M: Matroid, atom_order=None) -> tuple:
-    """Maximal independent elements, in rank-level order."""
+    """Maximal independent elements, in rank-level order.
+
+    Exact for any family, downward closed or not: an independent is a
+    basis when no walk down lower covers from another independent reaches
+    it.  The walk stops at independents, whose own covers start a walk.
+    """
     L = M.host
     ind = M.independents
-    if isinstance(L, MultisetLattice):
-        keys = {x.key for x in ind}
-        bounds = L.exponents
-        out = []
-        for x in ind:
-            t = x.key
-            for i in range(len(bounds)):
-                if t[i] < bounds[i] and t[:i] + (t[i] + 1,) + t[i + 1 :] in keys:
-                    break
-            else:
-                out.append(x)
-    else:
-        out = [x for x in ind if not any(y != x and L.leq(x, y) for y in ind)]
+    stack = [y for x in ind for y in L.lower_covers(x)]
+    below = set()
+    while stack:
+        y = stack.pop()
+        if y not in below:
+            below.add(y)
+            if y not in ind:
+                stack.extend(L.lower_covers(y))
+    out = sorted((x for x in ind if x not in below), key=L.sort_key)
     return tuple(sort_by_rank_lex(L, out, atom_order))
 
 
@@ -269,7 +220,7 @@ def verify_basis_axioms(L, basis_elements, budget: int = 5_000_000) -> Verificat
         results.append(CheckResult(names[1], witness is None, True, witness))
 
         witness = None
-        atoms = L.atoms
+        nv = len(L.atoms)
         for x in B:
             covers_below = L.lower_covers(x)
             for y in B:
@@ -279,12 +230,11 @@ def verify_basis_axioms(L, basis_elements, budget: int = 5_000_000) -> Verificat
                     if not L.leq(xy, u):
                         continue
                     found = False
-                    for i, a in enumerate(atoms):
+                    for i in range(nv):
                         if u.valuation[i] >= y.valuation[i]:
                             continue
                         meter.spend(2)
-                        p = L.atom_power(a, u.valuation[i] + 1)
-                        if p is not None and L.join(u, p) in B_set:
+                        if _raise(L, u, i) in B_set:
                             found = True
                             break
                     if not found:
@@ -326,29 +276,20 @@ def dual_exchange_witness(L, basis_elements, x: Element, y: Element, a: Element)
     if y.valuation[ai] <= x.valuation[ai]:
         raise LatticeInputError("the atom must satisfy v_a(y) > v_a(x)")
     xy = L.meet(x, y)
-    atoms = L.atoms
     for u in L.lower_covers(x):
-        if not L.leq(xy, u):
+        if not L.leq(xy, u) or _raise(L, u, ai) not in B_set:
             continue
-        pa = L.atom_power(a, u.valuation[ai] + 1)
-        if pa is None or L.join(u, pa) not in B_set:
-            continue
-        for bi, b in enumerate(atoms):
-            if y.valuation[bi] >= x.valuation[bi]:
-                continue
-            pb = L.atom_power(b, u.valuation[bi] + 1)
-            if pb is not None and L.join(u, pb) == x:
+        for bi, b in enumerate(L.atoms):
+            if y.valuation[bi] < x.valuation[bi] and _raise(L, u, bi) == x:
                 return (u, b)
     return None
 
 
 def matroid_shelling(M: Matroid, atom_order=None) -> ShellingReport:
-    """Order the bases by the rank-level order and check the shelling
-    condition on the independence complex."""
+    """Check that the bases, in the rank-level order `bases` returns them,
+    shell the independence complex."""
     B = bases(M, atom_order)
-    C = PComplex(M.host, B)
-    order = sort_by_rank_lex(M.host, B, atom_order)
-    return verify_shelling(C, order, atom_order)
+    return verify_shelling(PComplex(M.host, B), B, atom_order)
 
 
 def independence_complex(M: Matroid, atom_order=None) -> PComplex:
@@ -375,7 +316,7 @@ class WeightedGraph:
 
 
 def weighted_graph(vertices, edges) -> WeightedGraph:
-    vertices = tuple(vertices)
+    vertices = _sequence(vertices, "graph vertices")
     if any(not isinstance(v, str) or not v for v in vertices):
         raise LatticeInputError("vertex names must be nonempty strings")
     if len(set(vertices)) != len(vertices):
@@ -383,14 +324,16 @@ def weighted_graph(vertices, edges) -> WeightedGraph:
     vs = set(vertices)
     out = []
     ids = set()
-    for e in edges:
+    for e in _sequence(edges, "graph edges"):
         if not isinstance(e, Edge):
             raise LatticeInputError("edges must be Edge values")
+        if not all(isinstance(name, str) for name in (e.id, e.u, e.v)):
+            raise LatticeInputError("edge ids and endpoints must be strings")
         if e.id in ids:
             raise LatticeInputError(f"repeated edge id {e.id!r}")
         if e.u not in vs or e.v not in vs:
             raise LatticeInputError(f"edge {e.id!r} mentions an unknown vertex")
-        if not isinstance(e.wt, int) or e.wt < 1:
+        if not _is_int(e.wt) or e.wt < 1:
             raise LatticeInputError(f"edge {e.id!r} needs a positive integer weight")
         ids.add(e.id)
         out.append(e)
@@ -401,7 +344,7 @@ def graph_from_obj(obj) -> WeightedGraph:
     if not isinstance(obj, dict) or "vertices" not in obj or "edges" not in obj:
         raise LatticeInputError("a graph description needs 'vertices' and 'edges'")
     edges = []
-    for i, e in enumerate(obj["edges"]):
+    for i, e in enumerate(_sequence(obj["edges"], "graph edges")):
         if not isinstance(e, dict) or "u" not in e or "v" not in e:
             raise LatticeInputError("each edge needs 'u' and 'v'")
         edges.append(

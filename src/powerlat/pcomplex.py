@@ -33,13 +33,15 @@ class PComplex:
         for f in facets:
             if not isinstance(f, Element) or f.host is not L:
                 raise LatticeInputError("complex elements must belong to the given lattice")
-        uniq = []
-        seen = set()
+        by_rank: dict[int, set] = {}  # the distinct elements, by rank
         for f in facets:
-            if f.key not in seen:
-                seen.add(f.key)
-                uniq.append(f)
-        maximal = [f for f in uniq if not any(g != f and L.leq(f, g) for g in uniq)]
+            by_rank.setdefault(f.rank, set()).add(f)
+        # an element can only lie below one of higher rank, so each rank is
+        # tested against the maximal elements already kept; a pure family
+        # needs no test
+        maximal = []
+        for rank in sorted(by_rank, reverse=True):
+            maximal += [f for f in by_rank[rank] if not any(L.leq(f, g) for g in maximal)]
         maximal.sort(key=L.sort_key)
         self.lattice = L
         self.facets = tuple(maximal)

@@ -18,7 +18,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .instances import MultisetLattice
+from .instances import MultisetLattice, _is_int, _sequence
 from .lattice import BudgetError, Element, LatticeError, LatticeInputError
 from .ordercomplex import SimplicialComplex, SimplicialShellingReport
 from .pcomplex import PComplex, find_shelling, verify_shelling
@@ -52,10 +52,8 @@ def monomial_label(m) -> str:
 
 
 def _as_exponents(m, nvars=None):
-    if isinstance(m, Element):
-        m = m.key
-    m = tuple(m)
-    if any(not isinstance(v, int) or v < 0 for v in m):
+    m = m.key if isinstance(m, Element) else _sequence(m, "an exponent vector")
+    if any(not _is_int(v) or v < 0 for v in m):
         raise LatticeInputError("exponents must be non-negative integers")
     if nvars is not None and len(m) != nvars:
         raise LatticeInputError(f"expected {nvars} exponents, got {len(m)}")
@@ -107,8 +105,8 @@ class Multicomplex:
     """Facet-presented downward closed monomial family, top excluded."""
 
     def __init__(self, box, facets):
-        box = tuple(box)
-        if not box or any(not isinstance(n, int) or n < 1 for n in box):
+        box = _sequence(box, "the box")
+        if not box or any(not _is_int(n) or n < 1 for n in box):
             raise LatticeInputError("the box needs positive integer bounds")
         vol = 1
         for n in box:
@@ -116,7 +114,7 @@ class Multicomplex:
         if vol > _BOX_VOLUME_LIMIT:
             raise BudgetError(f"box volume {vol} exceeds {_BOX_VOLUME_LIMIT}")
         fs = set()
-        for f in facets:
+        for f in _sequence(facets, "the facets"):
             f = _as_exponents(f, len(box))
             if any(v > n for v, n in zip(f, box)):
                 raise LatticeInputError(
@@ -139,7 +137,10 @@ class Multicomplex:
         return len(self.box)
 
     def contains(self, m) -> bool:
-        m = _as_exponents(m, self.nvars)
+        return self._contains(_as_exponents(m, self.nvars))
+
+    def _contains(self, m: tuple) -> bool:
+        # m is an exponent vector already checked against the box
         return any(divides(m, f) for f in self.facets)
 
     def faces(self) -> list:
@@ -185,13 +186,13 @@ def minimal_nonfaces(delta: Multicomplex) -> MonomialIdeal:
     box = delta.box
     gens = []
     for m in itertools.product(*(range(n + 1) for n in box)):
-        if delta.contains(m):
+        if delta._contains(m):
             continue
         minimal = True
         for i in range(len(box)):
             if m[i] == 0:
                 continue
-            if not delta.contains(m[:i] + (m[i] - 1,) + m[i + 1 :]):
+            if not delta._contains(m[:i] + (m[i] - 1,) + m[i + 1 :]):
                 minimal = False
                 break
         if minimal:

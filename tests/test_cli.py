@@ -1,9 +1,14 @@
 """Command line interface: exit codes, report payloads, error paths."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import powerlat
+from powerlat import build_multiset
 from powerlat.cli import main
 
 from test_instances import MALFORMED_SPECS
@@ -34,9 +39,22 @@ TRIANGLE_GRAPH = {
         {"id": "g", "u": "u", "v": "w"},
     ],
 }
+MALFORMED_GRAPHS = [
+    {"vertices": ["u", "v"], "edges": [{"id": [1], "u": "u", "v": "v"}]},
+    {"vertices": ["u", "v"], "edges": [{"u": ["u"], "v": "v"}]},
+    {"vertices": ["u", "v"], "edges": 5},
+    {"vertices": 5, "edges": [{"u": "u", "v": "v"}]},
+    {"vertices": ["u", "v"], "edges": [{"u": "u", "v": "v", "wt": True}]},
+    {"vertices": ["u", "v"], "edges": [{"u": "u", "v": "v", "wt": 2.0}]},
+]
 REMARK_MC = {"box": [3, 3], "facets": [[2, 2], [1, 3]]}
 SINGLE_MC = {"box": [3, 3], "facets": [[2, 2]]}
 U2_MC = {"box": [2, 2], "facets": [[2, 0], [1, 1], [0, 2]]}
+MALFORMED_MULTICOMPLEXES = [
+    {"box": 5, "facets": [[1]]},
+    {"box": [2, 2], "facets": 7},
+    {"box": [2, 2], "facets": [[True, 1]]},
+]
 IDEAL_FILE = {"vars": 2, "gens": [[2, 1], [1, 2]]}
 FIGURE = {"type": "hasse", "elements": FIGURE_ELEMENTS, "covers": FIGURE_COVERS}
 
@@ -396,6 +414,12 @@ class TestGraph:
         code2, rep2, _ = jrun(capsys, "matroid", "verify", str(emitted))
         assert code2 == 0 and rep2["ok"]
 
+    @pytest.mark.parametrize("graph", MALFORMED_GRAPHS, ids=json.dumps)
+    def test_malformed_graph(self, capsys, write, graph):
+        code, out, err = run(capsys, "graph", "matroid", write("g.json", graph))
+        assert code == 2 and err.startswith("error:") and not out
+        assert "multiset lattice" not in err
+
 
 class TestStanleyReisner:
     def test_ideal(self, capsys, write):
@@ -467,6 +491,11 @@ class TestStanleyReisner:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("mc", MALFORMED_MULTICOMPLEXES, ids=json.dumps)
+    def test_malformed_multicomplex(self, capsys, write, mc):
+        code, out, err = run(capsys, "sr", "ideal", write("mc.json", mc))
+        assert code == 2 and err.startswith("error:") and not out
+
 
 class TestExport:
     def test_multicomplex_m2(self, capsys, write):
@@ -509,6 +538,38 @@ class TestGlobalBehaviors:
         _, rep2, _ = jrun(capsys, "sr", "polarize", path)
         rep1.pop("elapsed_s"), rep2.pop("elapsed_s")
         assert rep1 == rep2
+
+    def test_reports_do_not_depend_on_the_hash_seed(self, write):
+        # multiset(2,2) from Hasse data: string keys, whose set order moves
+        # with the hash seed; one family fails I2 at three elements, the
+        # other I3 at several pairs
+        L = build_multiset((2, 2))
+        m22 = {
+            "type": "hasse",
+            "elements": [L.label(x) for x in L.elements()],
+            "covers": [[L.label(x), L.label(y)] for x in L.elements() for y in L.covers(x)],
+        }
+        paths = [
+            write("i2.json", {"lattice": m22, "independents": ["1", "x_1^2", "x_1*x_2", "x_2^2"]}),
+            write("i3.json", {"lattice": m22, "independents": ["1", "x_1", "x_2", "x_1^2", "x_2^2"]}),
+        ]
+        src = os.path.dirname(os.path.dirname(powerlat.__file__))
+        reports = {}
+        for seed in range(4):
+            env = dict(os.environ, PYTHONHASHSEED=str(seed), PYTHONPATH=src)
+            for path in paths:
+                for action in ("verify", "bases"):
+                    done = subprocess.run(
+                        [sys.executable, "-m", "powerlat.cli", "matroid", action, path],
+                        env=env, capture_output=True, text=True, timeout=60,
+                    )
+                    rep = json.loads(done.stdout)
+                    rep.pop("elapsed_s")
+                    reports.setdefault((path, action), []).append(rep)
+        for (path, action), reps in reports.items():
+            assert all(rep == reps[0] for rep in reps), (path, action)
+            if action == "verify":
+                assert not reps[0]["ok"]
 
     def test_atom_order_changes_listing_not_verdict(self, capsys, write):
         path = write("m.json", U2_MATROID)

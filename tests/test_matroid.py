@@ -34,6 +34,14 @@ def m22():
     return build_multiset((2, 2))
 
 
+def hasse_copy(L):
+    """L presented by its labels and cover relations."""
+    return build_hasse(
+        [L.label(x) for x in L.elements()],
+        [[L.label(x), L.label(y)] for x in L.elements() for y in covers(L, x)],
+    )
+
+
 def triangle_graph():
     return weighted_graph(
         ["u", "v", "w"],
@@ -104,13 +112,9 @@ class TestVerifyIndependence:
 
     def test_generic_path_agrees_with_multiset_path(self):
         # the same lattice presented by its cover relations must give the
-        # same verdicts through the generic element walk
+        # same verdicts
         L = m22()
-        labels = [L.label(x) for x in L.elements()]
-        relations = [
-            [L.label(x), L.label(y)] for x in L.elements() for y in covers(L, x)
-        ]
-        H = build_hasse(labels, relations)
+        H = hasse_copy(L)
         families = [
             [t for t in L.elements()],
             [L.bottom, L.element((1, 0)), L.element((0, 1))],
@@ -177,6 +181,17 @@ class TestBases:
         L = build_subspace(2, 2)
         B = bases(uniform_matroid(L, 1))
         assert len(B) == 3 and check_equal_rank(B)
+
+    def test_family_not_downward_closed(self):
+        # 1 lies below x_1^2 though x_1 is missing: on either presentation
+        # of the lattice it is not a basis, and the bases still shell
+        L = m22()
+        for host in (L, hasse_copy(L)):
+            by_label = {host.label(x): x for x in host.elements()}
+            M = Matroid(host, frozenset([by_label["1"], by_label["x_1^2"]]))
+            assert [host.label(b) for b in bases(M)] == ["x_1^2"]
+            rep = matroid_shelling(M)
+            assert rep.ok and [host.label(f) for f in rep.order] == ["x_1^2"]
 
     def test_independence_complex_facets(self):
         M = uniform_matroid(m22(), 2)

@@ -10,6 +10,7 @@ from powerlat import (
     LatticeInputError,
     PComplex,
     build_boolean,
+    build_hasse,
     build_multiset,
     build_subspace,
     find_shelling,
@@ -42,6 +43,18 @@ def shelling_holds_naive(L, order, r):
     return True
 
 
+def pairwise_maximal(L, facets):
+    """The earlier facet filter: distinct elements below no other one."""
+    uniq = []
+    seen = set()
+    for f in facets:
+        if f.key not in seen:
+            seen.add(f.key)
+            uniq.append(f)
+    maximal = [f for f in uniq if not any(g != f and L.leq(f, g) for g in uniq)]
+    return tuple(sorted(maximal, key=L.sort_key))
+
+
 class TestGenerate:
     def test_dominated_elements_absorbed(self):
         L = bool3()
@@ -67,6 +80,20 @@ class TestGenerate:
         L, M = bool3(), bool3()
         with pytest.raises(LatticeInputError):
             PComplex(L, [M.top])
+
+    def test_facets_match_the_pairwise_filter(self, corpus):
+        # random families, repeats included, on the corpus and on N5, whose
+        # ranks are longest-chain lengths
+        n5 = build_hasse(
+            ["0", "a", "b", "c", "1"],
+            [("0", "a"), ("a", "b"), ("b", "1"), ("0", "c"), ("c", "1")],
+        )
+        hosts = [*corpus.values(), n5]
+        rng = random.Random(41)
+        for _ in range(500):
+            L = rng.choice(hosts)
+            family = rng.choices(L.elements(), k=rng.randint(1, 8))
+            assert PComplex(L, family).facets == pairwise_maximal(L, family)
 
     def test_idempotent(self):
         L = build_multiset((2, 2))
