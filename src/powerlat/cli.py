@@ -29,7 +29,7 @@ import os
 import sys
 import time
 
-from .instances import lattice_from_obj
+from .instances import _sequence, lattice_from_obj
 from .lattice import (
     BudgetError,
     LatticeError,
@@ -98,7 +98,8 @@ def _load_pcomplex(path: str) -> PComplex:
     if not isinstance(obj, dict) or "lattice" not in obj or "facets" not in obj:
         raise LatticeInputError("a complex file needs 'lattice' and 'facets'")
     L = _lattice_from_value(obj["lattice"], os.path.dirname(path))
-    return PComplex(L, [L.element_from_obj(f) for f in obj["facets"]])
+    facets = _sequence(obj["facets"], "the facets")
+    return PComplex(L, [L.element_from_obj(f) for f in facets])
 
 
 def _load_matroid(path: str) -> Matroid:
@@ -116,7 +117,8 @@ def _load_matroid(path: str) -> Matroid:
             "a matroid file needs 'lattice' and 'independents', or a graph's 'vertices' and 'edges'"
         )
     L = _lattice_from_value(obj["lattice"], os.path.dirname(path))
-    return Matroid(L, frozenset(L.element_from_obj(x) for x in obj["independents"]))
+    independents = _sequence(obj["independents"], "the independents")
+    return Matroid(L, frozenset(L.element_from_obj(x) for x in independents))
 
 
 def _load_multicomplex(path: str) -> Multicomplex:

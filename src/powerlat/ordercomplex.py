@@ -10,7 +10,10 @@ truncated chains is the same comparison.  The prescribed order is not
 always a shelling, even when the facet order is
 (``test_private_atom_before_shared_fails`` pins the smallest
 counterexample); `complex_order_shelling` lists the chains by a recursive
-coatom ordering instead, which does shell them.  Reduced homology is
+coatom ordering instead, which does shell them.  One restriction-set
+verifier, `verify_nonpure_shelling`, checks simplicial shellings with
+facets of any sizes; `verify_pure_simplicial_shelling` is the same check
+after refusing facets of different sizes.  Reduced homology is
 computed over the rationals by exact integer elimination, with a mod 2
 variant for cross checks.
 """
@@ -230,40 +233,47 @@ class SimplicialShellingReport:
         return obj
 
 
-def verify_pure_simplicial_shelling(facets_in_order) -> SimplicialShellingReport:
-    """Check the shelling condition for an ordered list of equal-size facets.
+def verify_nonpure_shelling(facets_in_order) -> SimplicialShellingReport:
+    """Check the shelling condition on an order of facets of any sizes.
 
     F_1, ..., F_t is a shelling when for all i < j some k < j has
-    F_i n F_j <= F_k n F_j with |F_k n F_j| = |F_j| - 1.  Checked via the
-    restriction sets R_j = {v in F_j : F_j - v is covered by an earlier
-    facet}: the pair (i, j) fails exactly when R_j <= F_i.  Such an F_i
-    holds every vertex of R_j, so only the earlier facets through the
-    vertex of R_j on the fewest of them are scanned, at most t^2 tests in
-    all.  The witness names the first failing j and, for it, the least i.
+    F_i n F_j <= F_k n F_j with |F_k n F_j| = |F_j| - 1 (Bjorner and Wachs,
+    "Shellable nonpure complexes and posets I", 1996).  Checked via the
+    restriction sets R_j = {v in F_j : F_j - F_k = {v} for an earlier F_k}:
+    the pair (i, j) fails exactly when R_j <= F_i.  F_j - v is looked up
+    among the earlier facets and their faces of one size less, which finds
+    every such F_k of size at most |F_j|; only an earlier facet larger than
+    F_j is tested directly, so a pure order runs no subset test.  An F_i
+    with R_j <= F_i holds every vertex of R_j, so only the earlier facets
+    through the vertex of R_j on the fewest of them are scanned.  The
+    witness names the first failing j and, for it, the least i.
     """
     sets = [frozenset(f) for f in facets_in_order]
-    t = len(sets)
-    if t == 0:
+    if not sets:
         raise LatticeInputError("a shelling needs at least one facet")
-    card = len(sets[0])
-    if any(len(f) != card for f in sets):
-        raise LatticeInputError("the pure shelling condition needs equal-size facets")
-    if len(set(sets)) != t:
+    if len(set(sets)) != len(sets):
         return SimplicialShellingReport(
             False, {"reason": "duplicate facet"}, "facets must be distinct"
         )
-    seen_subsets: set = set()
+    seen: set = set()  # the earlier facets and their faces of one size less
+    by_size: dict = {}  # size -> the earlier facets of that size
     through: dict = {}  # vertex -> ascending indexes of earlier facets on it
     for j, fj in enumerate(sets):
-        if j > 0 and card > 0:
-            restriction = {v for v in fj if (fj - {v}) in seen_subsets}
+        if j > 0:
+            card = len(fj)
+            restriction = {v for v in fj if (fj - {v}) in seen}
+            larger = [fk for size, fs in by_size.items() if size > card for fk in fs]
+            for fk in larger:
+                rest = fj - fk
+                if len(rest) == 1:
+                    restriction |= rest
             if not restriction:
                 return SimplicialShellingReport(
                     False,
                     {"i": 0, "j": j},
                     "facet meets no earlier facet in a face of size one less",
                 )
-            if len(restriction) < card:
+            if len(restriction) < card or larger:
                 rf = frozenset(restriction)
                 for i in min((through.get(v, ()) for v in rf), key=len):
                     if rf <= sets[i]:
@@ -272,10 +282,21 @@ def verify_pure_simplicial_shelling(facets_in_order) -> SimplicialShellingReport
                             {"i": i, "j": j},
                             "no earlier facet covers the intersection with facet i",
                         )
+        seen.add(fj)
+        by_size.setdefault(len(fj), []).append(fj)
         for v in fj:
-            seen_subsets.add(fj - {v})
+            seen.add(fj - {v})
             through.setdefault(v, []).append(j)
     return SimplicialShellingReport(True)
+
+
+def verify_pure_simplicial_shelling(facets_in_order) -> SimplicialShellingReport:
+    """Check the shelling condition for an ordered list of equal-size facets:
+    `verify_nonpure_shelling`, after refusing facets of different sizes."""
+    sets = [frozenset(f) for f in facets_in_order]
+    if len({len(f) for f in sets}) > 1:
+        raise LatticeInputError("the pure shelling condition needs equal-size facets")
+    return verify_nonpure_shelling(sets)
 
 
 @dataclass

@@ -2,8 +2,10 @@
 
 A complex is a downward closed subset of a lattice, stored by its facets
 (the maximal elements).  This module covers purity, the shelling condition
-on facet orders, exhaustive shelling search for small complexes, and the
-sphere below an element.
+on facet orders, and the sphere below an element.  `find_shelling` decides
+shellability of a small complex exactly, by a depth-first search over the
+sets of facets already placed; the non-pure search of `stanley_reisner`
+runs on the same search.
 """
 
 from __future__ import annotations
@@ -115,6 +117,21 @@ class ShellingReport:
         return obj
 
 
+def _meet_memo(L: PowerLattice, facets):
+    # meet(i, j) of facets i and j, each pair computed once, on first use
+    memo: dict = {}
+
+    def meet(i, j):
+        if i > j:
+            i, j = j, i
+        m = memo.get((i, j))
+        if m is None:
+            m = memo[(i, j)] = L.meet(facets[i], facets[j])
+        return m
+
+    return meet
+
+
 def verify_shelling(C: PComplex, order=None, atom_order=None) -> ShellingReport:
     """Check that a facet order is a shelling.
 
@@ -135,19 +152,8 @@ def verify_shelling(C: PComplex, order=None, atom_order=None) -> ShellingReport:
             False, order, {"reason": "not pure", "facet_ranks": ranks}, "complex is not pure"
         )
     r = C.rank
-    t = len(order)
-    meets: dict = {}
-
-    def meet(i, j):
-        if i > j:
-            i, j = j, i
-        m = meets.get((i, j))
-        if m is None:
-            m = L.meet(order[i], order[j])
-            meets[(i, j)] = m
-        return m
-
-    for j in range(1, t):
+    meet = _meet_memo(L, order)
+    for j in range(1, len(order)):
         ks = [k for k in range(j) if meet(k, j).rank == r - 1]
         for i in range(j):
             mij = meet(i, j)
@@ -166,11 +172,44 @@ def verify_shelling(C: PComplex, order=None, atom_order=None) -> ShellingReport:
     return ShellingReport(True, order)
 
 
+def _subset_search(t: int, rescue):
+    """The first order of the facets 0..t-1, depth first with the facets
+    tried in ascending order, in which every pair i < j is rescued by some
+    facet before j; None when there is none.
+
+    rescue[i][j] is the bitmask of the facets k that rescue the pair (i, j),
+    so j may follow the placed set S when rescue[i][j] & S is nonzero for
+    every i in S.  That depends only on S, so the sets from which no order
+    completes are remembered and never entered twice; the order found is
+    the one a backtracking search over prefixes finds first.
+    """
+    full = (1 << t) - 1
+    dead: set = set()
+    order: list = []
+
+    def extend(placed):
+        if placed == full:
+            return True
+        if placed in dead:
+            return False
+        for j in range(t):
+            if not placed >> j & 1 and all(rescue[i][j] & placed for i in order):
+                order.append(j)
+                if extend(placed | 1 << j):
+                    return True
+                order.pop()
+        dead.add(placed)
+        return False
+
+    return order if extend(0) else None
+
+
 def find_shelling(C: PComplex, cap: int = 12, atom_order=None):
     """Search every facet order for a shelling; None when none exists.
 
-    The condition is prefix-checkable, so this is a backtracking search
-    over facet prefixes.  Capped at `cap` facets.
+    Facet k rescues the pair (i, j) when rho(f_k ^ f_j) = r - 1 and
+    f_i ^ f_j <= f_k ^ f_j; the subset search then finds the first shelling
+    in the rank-level order of the facets.  Capped at `cap` facets.
     """
     if not C.is_pure():
         raise LatticeInputError("only pure complexes can have a shelling")
@@ -180,44 +219,14 @@ def find_shelling(C: PComplex, cap: int = 12, atom_order=None):
     if t > cap:
         raise BudgetError(f"complex has {t} facets, over the search cap {cap}")
     r = C.rank
-    meets: dict = {}
-
-    def meet(i, j):
-        if i > j:
-            i, j = j, i
-        m = meets.get((i, j))
-        if m is None:
-            m = L.meet(facets[i], facets[j])
-            meets[(i, j)] = m
-        return m
-
-    def can_append(prefix, j):
-        for i in prefix:
-            mij = meet(i, j)
-            if not any(
-                meet(k, j).rank == r - 1 and L.leq(mij, meet(k, j)) for k in prefix
-            ):
-                return False
-        return True
-
-    used = [False] * t
-
-    def rec(prefix):
-        if len(prefix) == t:
-            return tuple(facets[i] for i in prefix)
-        for j in range(t):
-            if used[j] or not can_append(prefix, j):
-                continue
-            used[j] = True
-            prefix.append(j)
-            res = rec(prefix)
-            if res is not None:
-                return res
-            prefix.pop()
-            used[j] = False
-        return None
-
-    return rec([])
+    meet = _meet_memo(L, facets)
+    ks = [[k for k in range(t) if meet(k, j).rank == r - 1] for j in range(t)]
+    rescue = [
+        [sum(1 << k for k in ks[j] if L.leq(meet(i, j), meet(k, j))) for j in range(t)]
+        for i in range(t)
+    ]
+    order = _subset_search(t, rescue)
+    return None if order is None else tuple(facets[j] for j in order)
 
 
 def sphere(L: PowerLattice, x: Element) -> PComplex:

@@ -9,8 +9,11 @@ intersection of the P_sigma over the facets and reports a witness
 generator when they differ.  Polarization lifts monomials to squarefree
 ones over doubly indexed variables, and the polarized complex of a
 shellable multicomplex is checked to be shellable in the non-pure sense,
-first under the lifted facet order and then by exhaustive search over
-facet orders when the lifted order fails.
+first under the lifted facet order with `verify_nonpure_shelling` (the
+simplicial shelling verifier of `ordercomplex`, which serves pure and
+non-pure orders alike) and then, when the lifted order fails, by
+`find_nonpure_shelling`, an exact search over the sets of facets already
+placed.
 """
 
 from __future__ import annotations
@@ -20,8 +23,8 @@ from dataclasses import dataclass
 
 from .instances import MultisetLattice, _is_int, _sequence
 from .lattice import BudgetError, Element, LatticeError, LatticeInputError
-from .ordercomplex import SimplicialComplex, SimplicialShellingReport
-from .pcomplex import PComplex, find_shelling, verify_shelling
+from .ordercomplex import SimplicialComplex, verify_nonpure_shelling
+from .pcomplex import PComplex, _subset_search, find_shelling, verify_shelling
 
 _BOX_VOLUME_LIMIT = 10**6
 _GENERATOR_LIMIT = 10**3
@@ -73,7 +76,9 @@ class MonomialIdeal:
 
     @classmethod
     def from_gens(cls, nvars: int, gens) -> "MonomialIdeal":
-        seen = {_as_exponents(g, nvars) for g in gens}
+        if not _is_int(nvars) or nvars < 0:
+            raise LatticeInputError("the variable count must be a non-negative integer")
+        seen = {_as_exponents(g, nvars) for g in _sequence(gens, "the generators")}
         minimal = [
             g for g in seen if not any(h != g and divides(h, g) for h in seen)
         ]
@@ -432,74 +437,32 @@ def polarized_complex(delta: Multicomplex) -> SimplicialComplex:
 # non-pure shellability
 
 
-def verify_nonpure_shelling(facets_in_order) -> SimplicialShellingReport:
-    """Check the non-pure shelling condition on a facet order: for all
-    i < j some k < j has F_i n F_j inside F_k n F_j of size |F_j| - 1."""
-    F = [frozenset(f) for f in facets_in_order]
-    if not F:
-        raise LatticeInputError("a shelling needs at least one facet")
-    for j in range(1, len(F)):
-        # R_j: vertices whose removal lands inside an earlier facet
-        Rj = {
-            v
-            for v in F[j]
-            if any(F[j] - {v} <= F[k] and v not in F[k] for k in range(j))
-        }
-        for i in range(j):
-            if Rj <= F[i]:
-                return SimplicialShellingReport(
-                    False,
-                    witness={"i": i, "j": j},
-                    detail="no earlier facet meets facet j in a face of size |F_j|-1 over F_i",
-                )
-    return SimplicialShellingReport(True)
-
-
 _NONPURE_SEARCH_LIMIT = 14
-
-
-def _appendable(F, j, chosen) -> bool:
-    Rj = {
-        v
-        for v in F[j]
-        if any(F[j] - {v} <= F[k] and v not in F[k] for k in chosen)
-    }
-    return all(not Rj <= F[i] for i in chosen)
 
 
 def find_nonpure_shelling(facets, cap: int = _NONPURE_SEARCH_LIMIT):
     """Search for a non-pure shelling order over all facet orders.
 
-    Whether a facet can be appended depends only on the set of facets
-    already placed, so the search runs over subsets.  Returns a tuple of
+    Facet k rescues the pair (i, j) when F_j - F_k = {v} with v not in F_i,
+    and the subset search of `pcomplex` finds the first order, facets tried
+    in the given order, in which every pair is rescued.  Returns a tuple of
     facets or None.
     """
     F = [frozenset(f) for f in facets]
     t = len(F)
     if t > cap:
         raise BudgetError(f"shelling search capped at {cap} facets")
-    memo: dict[int, tuple | None] = {0: ()}
-
-    def solve(mask):
-        if mask in memo:
-            return memo[mask]
-        out = None
-        for j in range(t):
-            if mask & (1 << j):
-                prev = mask & ~(1 << j)
-                chosen = [k for k in range(t) if prev & (1 << k)]
-                if _appendable(F, j, chosen):
-                    sub = solve(prev)
-                    if sub is not None:
-                        out = sub + (j,)
-                        break
-        memo[mask] = out
-        return out
-
-    order = solve((1 << t) - 1)
-    if order is None:
-        return None
-    return tuple(F[j] for j in order)
+    rescue = [[0] * t for _ in range(t)]
+    for j in range(t):
+        for k in range(t):
+            rest = F[j] - F[k]
+            if len(rest) == 1:
+                (v,) = rest
+                for i in range(t):
+                    if v not in F[i]:
+                        rescue[i][j] |= 1 << k
+    order = _subset_search(t, rescue)
+    return None if order is None else tuple(F[j] for j in order)
 
 
 @dataclass(frozen=True)

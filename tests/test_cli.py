@@ -56,6 +56,18 @@ MALFORMED_MULTICOMPLEXES = [
     {"box": [2, 2], "facets": [[True, 1]]},
 ]
 IDEAL_FILE = {"vars": 2, "gens": [[2, 1], [1, 2]]}
+MALFORMED_IDEALS = [
+    {"vars": 2, "gens": 5},
+    {"vars": True, "gens": [[1]]},
+]
+MALFORMED_COMPLEXES = [
+    {"lattice": BOOL3, "facets": 3},
+    {"lattice": BOOL3, "facets": 1.5},
+]
+MALFORMED_MATROIDS = [
+    {"lattice": M22, "independents": None},
+    {"lattice": M22, "independents": 4},
+]
 FIGURE = {"type": "hasse", "elements": FIGURE_ELEMENTS, "covers": FIGURE_COVERS}
 
 
@@ -206,6 +218,11 @@ class TestComplexShell:
         ref = {"lattice": "host.json", "facets": [[2, 0], [1, 1], [0, 2]]}
         code, rep, _ = jrun(capsys, "complex", "shell", write("ref.json", ref))
         assert code == 0 and rep["ok"]
+
+    @pytest.mark.parametrize("cx", MALFORMED_COMPLEXES, ids=json.dumps)
+    def test_malformed_facets(self, capsys, write, cx):
+        code, out, err = run(capsys, "complex", "shell", write("c.json", cx))
+        assert code == 2 and err.startswith("error:") and not out
 
 
 class TestComplexOrder:
@@ -400,6 +417,11 @@ class TestMatroid:
         )
         assert code == 0 and rep["count"] == 3
 
+    @pytest.mark.parametrize("m", MALFORMED_MATROIDS, ids=json.dumps)
+    def test_malformed_independents(self, capsys, write, m):
+        code, out, err = run(capsys, "matroid", "verify", write("m.json", m))
+        assert code == 2 and err.startswith("error:") and not out
+
 
 class TestGraph:
     def test_matroid_emission_round_trips(self, capsys, write, tmp_path):
@@ -529,6 +551,13 @@ class TestExport:
             capsys, "export", write("x.json", {"foo": 1}), "--format", "m2"
         )
         assert code == 2
+
+    @pytest.mark.parametrize("ideal", MALFORMED_IDEALS, ids=json.dumps)
+    def test_malformed_ideal(self, capsys, write, ideal):
+        code, out, err = run(
+            capsys, "export", write("id.json", ideal), "--format", "json"
+        )
+        assert code == 2 and err.startswith("error:") and not out
 
 
 class TestGlobalBehaviors:
