@@ -15,7 +15,8 @@ Commands::
 
 Reports go to stdout as JSON; --text renders the same content as indented
 lines.  Exit codes: 0 the property holds or output was produced, 1 the
-property fails and the report carries a witness, 2 usage or input error.
+property fails and the report carries a witness, 2 usage or input error,
+3 an internal consistency check failed (a defect, with no verdict).
 File formats are the JSON encodings of the owning modules; a complex file's
 "lattice" value may be an inline description or the name of a lattice file
 resolved relative to the complex file.
@@ -32,7 +33,6 @@ import time
 from .instances import _sequence, lattice_from_obj
 from .lattice import (
     BudgetError,
-    LatticeError,
     LatticeInputError,
     PowerLattice,
     verify_power_lattice,
@@ -553,10 +553,12 @@ def main(argv=None) -> int:
     except (json.JSONDecodeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except LatticeError as exc:
-        # an internal theorem failed; that is a property verdict, not usage
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    except Exception as exc:
+        # a bare LatticeError is a failed internal consistency check, which
+        # carries no witness; like any other unexpected exception it is a
+        # defect, not a verdict
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
     if "raw" in report and set(report) == {"raw"}:
         print(report["raw"])
         return code

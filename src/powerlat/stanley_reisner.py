@@ -7,13 +7,16 @@ face sigma has an irreducible ideal P_sigma of pure powers x_i^{v_i+1};
 the section-ring check compares the nonface ideal against the
 intersection of the P_sigma over the facets and reports a witness
 generator when they differ.  Polarization lifts monomials to squarefree
-ones over doubly indexed variables, and the polarized complex of a
-shellable multicomplex is checked to be shellable in the non-pure sense,
-first under the lifted facet order with `verify_nonpure_shelling` (the
-simplicial shelling verifier of `ordercomplex`, which serves pure and
-non-pure orders alike) and then, when the lifted order fails, by
-`find_nonpure_shelling`, an exact search over the sets of facets already
-placed.
+ones over doubly indexed variables.  The polarized complex is built twice,
+and the facet sets must agree: as the maximal per-face candidates, and as
+the complements of the minimal transversals of the polarized generators
+(Miller and Sturmfels, Combinatorial Commutative Algebra, Ch. 1).  The
+polarized complex of a shellable multicomplex is checked to be shellable
+in the non-pure sense, first under the lifted facet order with
+`verify_nonpure_shelling` (the simplicial shelling verifier of
+`ordercomplex`, which serves pure and non-pure orders alike) and then,
+when the lifted order fails, by `find_nonpure_shelling`, an exact search
+over the sets of facets already placed.
 """
 
 from __future__ import annotations
@@ -136,6 +139,7 @@ class Multicomplex:
             sorted(maximal, key=lambda f: (sum(f),) + tuple(-v for v in f))
         )
         self._host = None
+        self._nonfaces = None
 
     @property
     def nvars(self) -> int:
@@ -187,7 +191,17 @@ def multicomplex_from_pcomplex(C: PComplex) -> Multicomplex:
 
 def minimal_nonfaces(delta: Multicomplex) -> MonomialIdeal:
     """Minimal generators of the nonface ideal: box monomials outside the
-    family all of whose decrements are faces."""
+    family all of whose decrements are faces.
+
+    Computed once per multicomplex and cached on it, as `host()` caches its
+    lattice: the facets never change and the ideal is frozen.
+    """
+    if delta._nonfaces is None:
+        delta._nonfaces = _enumerate_minimal_nonfaces(delta)
+    return delta._nonfaces
+
+
+def _enumerate_minimal_nonfaces(delta: Multicomplex) -> MonomialIdeal:
     box = delta.box
     gens = []
     for m in itertools.product(*(range(n + 1) for n in box)):
@@ -385,25 +399,35 @@ def _facet_family_masks(delta: Multicomplex, pos) -> set:
 
 
 def _complement_facet_masks(delta: Multicomplex, pos) -> set:
-    n = len(pos)
+    # the facets are the complements of the minimal transversals of the
+    # polarized generators' supports, found by Berge's algorithm: the
+    # minimal transversals of the generators seen so far, extended by one
+    # generator at a time, smaller generators first
     gen_masks = []
     for g in minimal_nonfaces(delta).gens:
         gm = 0
         for v in polarize_monomial(g, delta.box):
             gm |= 1 << pos[v]
         gen_masks.append(gm)
-    faces = set()
-    for s in range(1 << n):
-        if all(gm & s != gm for gm in gen_masks):
-            faces.add(s)
-    facets = set()
-    for s in faces:
-        for v in range(n):
-            if not s & (1 << v) and s | (1 << v) in faces:
-                break
-        else:
-            facets.add(s)
-    return facets
+    transversals = [0]
+    for gm in sorted(gen_masks, key=int.bit_count):
+        bits = [1 << k for k in range(gm.bit_length()) if gm >> k & 1]
+        hit = [t for t in transversals if t & gm]
+        grown = {t | b for t in transversals if not t & gm for b in bits}
+        # a grown transversal never contains another grown one, and it can
+        # only contain a smaller one that already met the generator
+        by_size: dict[int, list] = {}
+        for t in hit:
+            by_size.setdefault(t.bit_count(), []).append(t)
+        for c in grown:
+            size = c.bit_count()
+            if not any(
+                t & c == t for s, ts in by_size.items() if s < size for t in ts
+            ):
+                hit.append(c)
+        transversals = hit
+    full = (1 << len(pos)) - 1
+    return {full & ~t for t in transversals}
 
 
 def polarized_complex(delta: Multicomplex) -> SimplicialComplex:
@@ -411,8 +435,8 @@ def polarized_complex(delta: Multicomplex) -> SimplicialComplex:
     ideal of the multicomplex.
 
     Built twice, as the maximal members of the per-face candidate family
-    and as the complement of the polarized ideal, and the two facet sets
-    must coincide.
+    and as the complements of the minimal transversals of the polarized
+    generators, and the two facet sets must coincide.
     """
     universe = polar_universe(delta.box)
     if len(universe) > _POLAR_VARIABLE_LIMIT:
@@ -420,10 +444,14 @@ def polarized_complex(delta: Multicomplex) -> SimplicialComplex:
             f"polarization capped at {_POLAR_VARIABLE_LIMIT} variables"
         )
     pos = {v: k for k, v in enumerate(universe)}
-    family = _facet_family_masks(delta, pos)
-    candidates = [
-        m for m in family if not any(m != w and m & w == m for w in family)
-    ]
+    by_size: dict[int, list] = {}
+    for m in _facet_family_masks(delta, pos):
+        by_size.setdefault(m.bit_count(), []).append(m)
+    # a mask can only lie in a strictly larger one, so each size is tested
+    # against the maximal masks already kept
+    candidates = []
+    for size in sorted(by_size, reverse=True):
+        candidates += [m for m in by_size[size] if not any(m & w == m for w in candidates)]
     if set(candidates) != _complement_facet_masks(delta, pos):
         raise LatticeError("polarized facet constructions disagree")
     labels = [polar_label(v) for v in universe]
