@@ -2,26 +2,32 @@
 
 A multicomplex is a downward closed family of monomials inside a box
 x_1^{n_1}...x_l^{n_l}, given by its facets and excluding the top.  Its
-nonface ideal is generated by the box monomials outside the family.  Each
-face sigma has an irreducible ideal P_sigma of pure powers x_i^{v_i+1};
-the section-ring check compares the nonface ideal against the
-intersection of the P_sigma over the facets and reports a witness
-generator when they differ.  Polarization lifts monomials to squarefree
-ones over doubly indexed variables.  The polarized complex is built twice,
-and the facet sets must agree: as the maximal per-face candidates, and as
-the complements of the minimal transversals of the polarized generators
-(Miller and Sturmfels, Combinatorial Commutative Algebra, Ch. 1).  The
-polarized complex of a shellable multicomplex is checked to be shellable
-in the non-pure sense, first under the lifted facet order with
-`verify_nonpure_shelling` (the simplicial shelling verifier of
-`ordercomplex`, which serves pure and non-pure orders alike) and then,
-when the lifted order fails, by `find_nonpure_shelling`, an exact search
-over the sets of facets already placed.
+nonface ideal is generated by the box monomials outside the family, and
+its minimal generators are read off one table of the faces over the box.
+Each face sigma has an irreducible ideal P_sigma of pure powers
+x_i^{v_i+1}.  The section-ring check compares the nonface ideal against
+the intersection of the P_sigma over the facets, and that against the
+intersection over their meet closure, each intersection taken one
+component at a time in time that grows with its generators (Miller and
+Sturmfels, Combinatorial Commutative Algebra, Ch. 5); it reports a witness
+generator when the nonface ideal and the facet intersection differ, and
+counts its work.  Polarization lifts monomials to squarefree ones over
+doubly indexed variables.  The polarized complex is built twice, and the
+facet sets must agree: as the maximal per-face candidates, and as the
+complements of the minimal transversals of the polarized generators
+(ibid., Ch. 1).  The polarized complex of a shellable multicomplex is
+checked to be shellable in the non-pure sense, first under the lifted
+facet order with `verify_nonpure_shelling` (the simplicial shelling
+verifier of `ordercomplex`, which serves pure and non-pure orders alike)
+and then, when the lifted order fails, by `find_nonpure_shelling`, an
+exact search over the sets of facets already placed.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
+import operator
 from dataclasses import dataclass
 
 from .instances import MultisetLattice, _is_int, _sequence
@@ -36,15 +42,15 @@ _POLAR_VARIABLE_LIMIT = 20
 
 
 def divides(a, b) -> bool:
-    return all(x <= y for x, y in zip(a, b))
+    return all(map(operator.le, a, b))
 
 
 def monomial_lcm(a, b):
-    return tuple(max(x, y) for x, y in zip(a, b))
+    return tuple(map(max, a, b))
 
 
 def monomial_gcd(a, b):
-    return tuple(min(x, y) for x, y in zip(a, b))
+    return tuple(map(min, a, b))
 
 
 def monomial_label(m) -> str:
@@ -81,22 +87,30 @@ class MonomialIdeal:
     def from_gens(cls, nvars: int, gens) -> "MonomialIdeal":
         if not _is_int(nvars) or nvars < 0:
             raise LatticeInputError("the variable count must be a non-negative integer")
-        seen = {_as_exponents(g, nvars) for g in _sequence(gens, "the generators")}
-        minimal = [
-            g for g in seen if not any(h != g and divides(h, g) for h in seen)
-        ]
+        by_degree: dict[int, set] = {}  # the distinct generators, by degree
+        for g in _sequence(gens, "the generators"):
+            g = _as_exponents(g, nvars)
+            by_degree.setdefault(sum(g), set()).add(g)
+        # a distinct divisor has strictly smaller degree, so each degree is
+        # tested against the minimal generators already kept
+        minimal = []
+        for degree in sorted(by_degree):
+            minimal += [g for g in by_degree[degree] if not any(divides(h, g) for h in minimal)]
         return cls(nvars, tuple(sorted(minimal, reverse=True)))
 
     def contains(self, m) -> bool:
-        m = _as_exponents(m, self.nvars)
+        return self._contains(_as_exponents(m, self.nvars))
+
+    def _contains(self, m: tuple) -> bool:
+        # m is an exponent vector already checked against nvars
         return any(divides(g, m) for g in self.gens)
 
     def equals(self, other: "MonomialIdeal") -> bool:
         # mutual generator membership, not generator-list identity
         if self.nvars != other.nvars:
             return False
-        return all(other.contains(g) for g in self.gens) and all(
-            self.contains(g) for g in other.gens
+        return all(other._contains(g) for g in self.gens) and all(
+            self._contains(g) for g in other.gens
         )
 
     def is_squarefree(self) -> bool:
@@ -121,19 +135,23 @@ class Multicomplex:
             vol *= n + 1
         if vol > _BOX_VOLUME_LIMIT:
             raise BudgetError(f"box volume {vol} exceeds {_BOX_VOLUME_LIMIT}")
-        fs = set()
+        by_degree: dict[int, set] = {}  # the distinct facets, by degree
         for f in _sequence(facets, "the facets"):
             f = _as_exponents(f, len(box))
             if any(v > n for v, n in zip(f, box)):
                 raise LatticeInputError(
                     f"facet {monomial_label(f)} leaves the box"
                 )
-            fs.add(f)
-        if not fs:
+            by_degree.setdefault(sum(f), set()).add(f)
+        if not by_degree:
             raise LatticeInputError("a multicomplex needs at least one facet")
-        if box in fs:
+        if box in by_degree.get(sum(box), ()):
             raise LatticeInputError("the top multiset cannot be a face")
-        maximal = [f for f in fs if not any(g != f and divides(f, g) for g in fs)]
+        # a monomial can only divide one of strictly larger degree, so each
+        # degree is tested against the maximal facets already kept
+        maximal = []
+        for degree in sorted(by_degree, reverse=True):
+            maximal += [f for f in by_degree[degree] if not any(divides(f, g) for g in maximal)]
         self.box = box
         self.facets = tuple(
             sorted(maximal, key=lambda f: (sum(f),) + tuple(-v for v in f))
@@ -193,8 +211,12 @@ def minimal_nonfaces(delta: Multicomplex) -> MonomialIdeal:
     """Minimal generators of the nonface ideal: box monomials outside the
     family all of whose decrements are faces.
 
-    Computed once per multicomplex and cached on it, as `host()` caches its
-    lattice: the facets never change and the ideal is frozen.
+    The faces are marked in one byte table over the box, indexed by
+    mixed-radix position, and one scan of its rows reads off the generators:
+    each is the first nonface of its row.  Every proper divisor of a
+    generator is a face, so the generators form an antichain with no
+    filter.  Computed once per multicomplex and cached on it, as `host()`
+    caches its lattice: the facets never change and the ideal is frozen.
     """
     if delta._nonfaces is None:
         delta._nonfaces = _enumerate_minimal_nonfaces(delta)
@@ -203,20 +225,29 @@ def minimal_nonfaces(delta: Multicomplex) -> MonomialIdeal:
 
 def _enumerate_minimal_nonfaces(delta: Multicomplex) -> MonomialIdeal:
     box = delta.box
+    # mixed-radix strides, last exponent fastest, as itertools.product runs
+    strides = [1] * len(box)
+    for i in range(len(box) - 2, -1, -1):
+        strides[i] = strides[i + 1] * (box[i + 1] + 1)
+    width = box[-1] + 1  # a row: the positions that differ in the last exponent
+    face = bytearray(strides[0] * (box[0] + 1))
+    for f in delta.facets:
+        # the down-set of f is a run of f[-1] + 1 positions from each of these
+        starts = [0]
+        for v, s in zip(f[:-1], strides):
+            starts = [p + k * s for p in starts for k in range(v + 1)]
+        run = b"\x01" * (f[-1] + 1)
+        for p in starts:
+            face[p : p + len(run)] = run
+    # the faces of a row are a prefix of it, so a generator is the first
+    # nonface of its row, when its decrements in the other exponents are faces
     gens = []
-    for m in itertools.product(*(range(n + 1) for n in box)):
-        if delta._contains(m):
-            continue
-        minimal = True
-        for i in range(len(box)):
-            if m[i] == 0:
-                continue
-            if not delta._contains(m[:i] + (m[i] - 1,) + m[i + 1 :]):
-                minimal = False
-                break
-        if minimal:
-            gens.append(m)
-    return MonomialIdeal.from_gens(len(box), gens)
+    for row, q in enumerate(itertools.product(*(range(n + 1) for n in box[:-1]))):
+        p = face.find(0, row * width, (row + 1) * width)
+        if p >= 0 and all(face[p - s] for v, s in zip(q, strides) if v):
+            gens.append(q + (p - row * width,))
+    # rows ascend in lexicographic order; ideals keep descending order
+    return MonomialIdeal(len(box), tuple(reversed(gens)))
 
 
 def irreducible_ideal(sigma, nvars=None) -> MonomialIdeal:
@@ -240,36 +271,76 @@ def intersect_monomial_ideals(I: MonomialIdeal, J: MonomialIdeal) -> MonomialIde
     return MonomialIdeal.from_gens(I.nvars, gens)
 
 
+def _intersect_irreducibles(nvars: int, components) -> tuple:
+    """The intersection of the P_s over the components s, one component at a
+    time (Miller and Sturmfels, Ch. 5), and the largest generator count it
+    held.  Refused, as `intersect_monomial_ideals` refuses, when an ideal
+    about to be intersected has more than _GENERATOR_LIMIT generators.
+    """
+    gens = [(0,) * nvars]
+    peak = 1
+    for s in components:
+        if len(gens) > _GENERATOR_LIMIT:
+            raise BudgetError(f"ideal intersection capped at {_GENERATOR_LIMIT} generators")
+        # a generator above s in some row lies in P_s and stays minimal; the
+        # others are raised to x_i^{s_i+1} in each row i.  Only a generator
+        # above s in row i alone, by one, or one raised in row i, can divide
+        # a monomial raised in row i, and a divisor has smaller degree.
+        kept = []
+        divisors = [[] for _ in s]
+        raised = []
+        for g in gens:
+            over = [i for i, (v, c) in enumerate(zip(g, s)) if v > c]
+            if not over:
+                raised += [(g[:i] + (c + 1,) + g[i + 1 :], i) for i, c in enumerate(s)]
+                continue
+            kept.append(g)
+            if len(over) == 1 and g[over[0]] == s[over[0]] + 1:
+                divisors[over[0]].append(g)
+        raised.sort(key=lambda hi: sum(hi[0]))
+        for h, i in raised:
+            if not any(divides(d, h) for d in divisors[i]):
+                divisors[i].append(h)
+                kept.append(h)
+        gens = kept
+        peak = max(peak, len(gens))
+    return MonomialIdeal(nvars, tuple(sorted(gens, reverse=True))), peak
+
+
 def meets_of_facets(delta: Multicomplex) -> tuple:
     """Closure of the facet set under pairwise gcd, facets included."""
     if len(delta.facets) > _FACET_MEET_LIMIT:
         raise BudgetError(f"meet closure capped at {_FACET_MEET_LIMIT} facets")
-    closed = set(delta.facets)
-    frontier = list(closed)
-    while frontier:
-        nxt = []
-        for a in frontier:
-            for b in closed.copy():
-                m = monomial_gcd(a, b)
-                if m not in closed:
-                    closed.add(m)
-                    nxt.append(m)
-        frontier = nxt
+    # the gcds of the subsets of the first facets, extended one facet at a time
+    closed: set = set()
+    for f in delta.facets:
+        closed |= {monomial_gcd(f, m) for m in closed}
+        closed.add(f)
     return tuple(sorted(closed, key=lambda m: (-sum(m),) + tuple(-v for v in m)))
 
 
 @dataclass(frozen=True)
 class SectionCheck:
+    """Outcome of the section ring check.
+
+    work counts what the check did: the positions of the face table the
+    nonface ideal is read from (the box volume), the size of the meet
+    closure, and the largest generator count either intersection held,
+    against the limit on the ideals it intersects.
+    """
+
     equal: bool
     witness: tuple | None
     nonface_ideal: MonomialIdeal
     facet_intersection: MonomialIdeal
+    work: dict
 
     def to_obj(self) -> dict:
         obj = {
             "equal": self.equal,
             "nonface_ideal": self.nonface_ideal.labels(),
             "facet_intersection": self.facet_intersection.labels(),
+            "work": dict(self.work),
         }
         if self.witness is not None:
             obj["witness"] = monomial_label(self.witness)
@@ -281,33 +352,36 @@ def section_ring_check(delta: Multicomplex) -> SectionCheck:
     """Compare the nonface ideal against the intersection of the P_sigma.
 
     A = nonface ideal, B = intersection over the facets, C = intersection
-    over the gcd closure of the facets.  B = C and A inside B always hold
-    and are asserted; the check reports equality of A and B, or the first
-    generator of B missing from A as witness.
+    over the gcd closure of the facets, each computed on its own: A from the
+    face table of the box, B and C one irreducible component at a time.
+    B = C and A inside B always hold and are asserted; the check reports
+    equality of A and B, or the first generator of B missing from A as
+    witness.
     """
     A = minimal_nonfaces(delta)
     l = delta.nvars
-    B = None
-    for f in delta.facets:
-        P = irreducible_ideal(f, l)
-        B = P if B is None else intersect_monomial_ideals(B, P)
-    C = None
-    for s in meets_of_facets(delta):
-        P = irreducible_ideal(s, l)
-        C = P if C is None else intersect_monomial_ideals(C, P)
+    B, peak_b = _intersect_irreducibles(l, delta.facets)
+    meets = meets_of_facets(delta)
+    C, peak_c = _intersect_irreducibles(l, meets)
     if not B.equals(C):
         raise LatticeError(
             "facet intersection and meet-closure intersection disagree"
         )
     for g in A.gens:
-        if not B.contains(g):
+        if not B._contains(g):
             raise LatticeError("the nonface ideal escapes the facet intersection")
     witness = None
     for g in B.gens:
-        if not A.contains(g):
+        if not A._contains(g):
             witness = g
             break
-    return SectionCheck(witness is None, witness, A, B)
+    work = {
+        "box_positions": math.prod(n + 1 for n in delta.box),
+        "meet_closure": len(meets),
+        "peak_generators": max(peak_b, peak_c),
+        "generator_limit": _GENERATOR_LIMIT,
+    }
+    return SectionCheck(witness is None, witness, A, B, work)
 
 
 # ---------------------------------------------------------------------------

@@ -14,13 +14,15 @@ The differential tests in test_polarization_paths.py compare the library
 with them.
 """
 
-from powerlat.stanley_reisner import _enumerate_minimal_nonfaces, polarize_monomial
+from powerlat.stanley_reisner import polarize_monomial
+
+from section_ring_oracles import pairwise_minimal_nonfaces
 
 
 def enumerated_complement_facet_masks(delta, pos) -> set:
     n = len(pos)
     gen_masks = []
-    for g in _enumerate_minimal_nonfaces(delta).gens:
+    for g in pairwise_minimal_nonfaces(delta).gens:
         gm = 0
         for v in polarize_monomial(g, delta.box):
             gm |= 1 << pos[v]

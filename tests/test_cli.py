@@ -469,6 +469,18 @@ class TestStanleyReisner:
         )
         assert code == 0 and rep["equal"]
 
+    def test_section_check_counts_its_work(self, capsys, write):
+        code, rep, _ = jrun(
+            capsys, "sr", "section-check", write("mc.json", REMARK_MC)
+        )
+        assert code == 1
+        assert rep["work"] == {
+            "box_positions": 16,
+            "meet_closure": 3,
+            "peak_generators": 3,
+            "generator_limit": 1000,
+        }
+
     def test_polarize(self, capsys, write):
         code, rep, _ = jrun(capsys, "sr", "polarize", write("mc.json", REMARK_MC))
         assert code == 0
