@@ -51,6 +51,7 @@ from .matroid import (
 from .ordercomplex import (
     SimplicialComplex,
     _order_report,
+    _reduced_betti_work,
     _sort_chains,
     maximal_chains,
     order_complex,
@@ -290,7 +291,9 @@ def _cmd_complex(args):
         else:
             C = _load_pcomplex(args.file)
             sc = order_complex(C, budget=args.budget)
-        report["reduced_betti"] = list(reduced_betti(sc, budget=args.budget))
+        betti, work = _reduced_betti_work(sc, args.budget)
+        report["reduced_betti"] = list(betti)
+        report["work"] = work
         return 0, report
 
     # sphere: the reverse lexicographic chain order shells every sphere

@@ -15,11 +15,18 @@ verifier, `verify_nonpure_shelling`, checks simplicial shellings with
 facets of any sizes; `verify_pure_simplicial_shelling` is the same check
 after refusing facets of different sizes.  Reduced homology is
 computed over the rationals by exact integer elimination, with a mod 2
-variant for cross checks.
+variant for cross checks, on faces stored as int bitmasks over the vertex
+indexes.  Only the faces outside the closed star of the vertex on the most
+facets are eliminated: the star is a cone, hence contractible, so the
+homology relative to it is the reduced homology of the complex (the long
+exact sequence of the pair; Hatcher, *Algebraic Topology*, section 2.1).
+An order complex that keeps the bottom is a cone and leaves nothing to
+eliminate.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from math import gcd
 
@@ -36,6 +43,14 @@ from .pcomplex import PComplex, ShellingReport, sort_by_rank_lex, sphere, verify
 
 # ---------------------------------------------------------------------------
 # simplicial complexes
+
+
+def _vertices(mask: int):
+    # the vertex indexes of a face mask, ascending
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 class SimplicialComplex:
@@ -67,13 +82,24 @@ class SimplicialComplex:
 
     def faces(self, budget: int = 20_000) -> set:
         """All faces, the empty face included."""
-        out = {frozenset()}
-        stack = list(self.facets)
-        out.update(self.facets)
+        return {frozenset(_vertices(m)) for m in self._face_masks(budget)}
+
+    def _face_masks(self, budget: int) -> set:
+        # every face as an int over the vertex indexes, walked down from the
+        # facets: the children of f are f ^ low for each set bit low.  The
+        # facets and the empty face are seeded unchecked, and each new face
+        # counts against the budget.
+        facets = [sum(1 << v for v in f) for f in self.facets]
+        out = set(facets)
+        out.add(0)
+        stack = facets
         while stack:
             f = stack.pop()
-            for v in f:
-                g = f - {v}
+            rest = f
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                g = f ^ low
                 if g not in out:
                     if len(out) >= budget:
                         raise BudgetError(f"complex has more than {budget} faces")
@@ -510,75 +536,93 @@ def _rank_mod2(bitrows) -> int:
     return rank
 
 
-def _levels(sc: SimplicialComplex, budget: int):
-    faces = sc.faces(budget=budget)
-    by_dim: dict[int, list] = {}
-    for f in faces:
-        by_dim.setdefault(len(f) - 1, []).append(tuple(sorted(f)))
-    for d in by_dim:
-        by_dim[d].sort()
-    return by_dim
-
-
-def _boundary_rows(by_dim, k):
-    # one row per k-face: its boundary in the basis of (k-1)-faces
-    below = {f: i for i, f in enumerate(by_dim.get(k - 1, ()))}
+def _boundary_rows(faces, below, mod2: bool) -> list:
+    # one row per relative k-face over the relative (k-1)-faces `below`:
+    # dropping the t-th smallest vertex of f gives the face f ^ low with
+    # sign (-1)^t, and a face in the star has no column.  Rows are dicts
+    # column -> +-1 for `_rank_int`, or int bit rows for `_rank_mod2`.
+    col = {g: i for i, g in enumerate(below)}
     rows = []
-    for f in by_dim.get(k, ()):
-        row = {}
-        for t in range(len(f)):
-            sub = f[:t] + f[t + 1 :]
-            row[below[sub]] = 1 if t % 2 == 0 else -1
+    for f in faces:
+        row = 0 if mod2 else {}
+        rest, t = f, 0
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            c = col.get(f ^ low)
+            if c is not None:
+                if mod2:
+                    row |= 1 << c
+                else:
+                    row[c] = -1 if t & 1 else 1
+            t += 1
         rows.append(row)
     return rows
+
+
+def _reduced_betti_work(sc: SimplicialComplex, budget: int, mod2: bool = False):
+    """(reduced Betti numbers, work record), over the rationals or mod 2.
+
+    The closed star st(v) of a vertex is a cone, hence has no reduced
+    homology, and the long exact sequence of the pair (Hatcher, *Algebraic
+    Topology*, section 2.1) gives H~_k(D) = H_k(D, st v) for every k and
+    every coefficient ring.  So only the faces s with s + v not in D are
+    eliminated, v being the vertex on the most facets (the smallest index
+    on ties).  A cone over v leaves no face to eliminate.
+    """
+    faces = sc._face_masks(budget)
+    work = {"faces": len(faces), "budget": budget, "star": 0, "boundaries": []}
+    top = sc.dim
+    if top < 0:
+        return (), work
+    on = Counter(v for f in sc.facets for v in f)
+    apex = 1 << min(on, key=lambda v: (-on[v], v))
+    levels: dict[int, list] = {}  # the relative faces by dimension
+    for f in faces:
+        if f | apex not in faces:
+            levels.setdefault(f.bit_count() - 1, []).append(f)
+    work["star"] = len(faces) - sum(map(len, levels.values()))
+    for level in levels.values():
+        level.sort()
+    rank = _rank_mod2 if mod2 else _rank_int
+    ranks = [0] * (top + 2)
+    for k in range(top + 1):
+        here, below = levels.get(k, []), levels.get(k - 1, [])
+        ranks[k] = rank(_boundary_rows(here, below, mod2))
+        work["boundaries"].append({"rows": len(here), "cols": len(below), "rank": ranks[k]})
+    betti = tuple(
+        len(levels.get(k, ())) - ranks[k] - ranks[k + 1] for k in range(top + 1)
+    )
+    return betti, work
 
 
 def reduced_betti(sc: SimplicialComplex, budget: int = 20_000) -> tuple:
     """Reduced Betti numbers over the rationals, dimensions 0 through dim.
 
-    The reduced chain complex includes the empty face, so the augmentation
-    map is the boundary from dimension 0.
+    Computed relative to the closed star of the busiest vertex, which is
+    contractible (`_reduced_betti_work`); the empty face lies in that star,
+    so the augmentation map drops out.  Exact integer elimination.
     """
-    by_dim = _levels(sc, budget)
-    if 0 not in by_dim:
-        return ()
-    top = max(by_dim)
-    ranks = {}
-    for k in range(0, top + 1):
-        ranks[k] = _rank_int(_boundary_rows(by_dim, k))
-    ranks[top + 1] = 0
-    return tuple(
-        len(by_dim.get(k, ())) - ranks[k] - ranks[k + 1] for k in range(0, top + 1)
-    )
+    return _reduced_betti_work(sc, budget)[0]
 
 
 def reduced_betti_mod2(sc: SimplicialComplex, budget: int = 20_000) -> tuple:
-    """Reduced Betti numbers over the field with two elements."""
-    by_dim = _levels(sc, budget)
-    if 0 not in by_dim:
-        return ()
-    top = max(by_dim)
-    ranks = {}
-    for k in range(0, top + 1):
-        bitrows = []
-        for row in _boundary_rows(by_dim, k):
-            bits = 0
-            for c in row:
-                bits |= 1 << c
-            bitrows.append(bits)
-        ranks[k] = _rank_mod2(bitrows)
-    ranks[top + 1] = 0
-    return tuple(
-        len(by_dim.get(k, ())) - ranks[k] - ranks[k + 1] for k in range(0, top + 1)
-    )
+    """Reduced Betti numbers over the field with two elements, relative to
+    the same star as `reduced_betti`."""
+    return _reduced_betti_work(sc, budget, mod2=True)[0]
 
 
 @dataclass
 class WedgeReport:
+    """`work` is the homology's work record: faces enumerated against the
+    budget, the star's face count, and each boundary matrix's shape and
+    rank."""
+
     ok: bool
     top_dim: int
     spheres: int
     betti: tuple
+    work: dict
 
     def to_obj(self) -> dict:
         return {
@@ -586,6 +630,7 @@ class WedgeReport:
             "top_dim": self.top_dim,
             "spheres": self.spheres,
             "betti": list(self.betti),
+            "work": self.work,
         }
 
 
@@ -594,8 +639,8 @@ def check_wedge(sc: SimplicialComplex, budget: int = 20_000) -> WedgeReport:
     reduced Betti numbers zero below the top dimension."""
     if len({len(f) for f in sc.facets}) > 1:
         raise LatticeInputError("check_wedge needs a pure complex")
-    betti = reduced_betti(sc, budget)
+    betti, work = _reduced_betti_work(sc, budget)
     if not betti:
-        return WedgeReport(True, -1, 0, betti)
+        return WedgeReport(True, -1, 0, betti, work)
     ok = all(b == 0 for b in betti[:-1])
-    return WedgeReport(ok, len(betti) - 1, betti[-1], betti)
+    return WedgeReport(ok, len(betti) - 1, betti[-1], betti, work)

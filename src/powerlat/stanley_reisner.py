@@ -158,6 +158,7 @@ class Multicomplex:
         )
         self._host = None
         self._nonfaces = None
+        self._polarized = None
 
     @property
     def nvars(self) -> int:
@@ -510,8 +511,15 @@ def polarized_complex(delta: Multicomplex) -> SimplicialComplex:
 
     Built twice, as the maximal members of the per-face candidate family
     and as the complements of the minimal transversals of the polarized
-    generators, and the two facet sets must coincide.
+    generators, and the two facet sets must coincide.  Built once per
+    multicomplex and cached on it, as `minimal_nonfaces` caches the ideal.
     """
+    if delta._polarized is None:
+        delta._polarized = _build_polarized_complex(delta)
+    return delta._polarized
+
+
+def _build_polarized_complex(delta: Multicomplex) -> SimplicialComplex:
     universe = polar_universe(delta.box)
     if len(universe) > _POLAR_VARIABLE_LIMIT:
         raise BudgetError(

@@ -303,12 +303,20 @@ class TestComplexHomologyAndSphere:
         }
         code, rep, _ = jrun(capsys, "complex", "homology", write("sc.json", sc))
         assert code == 0 and rep["reduced_betti"] == [0, 1]
+        # not a cone: the star of vertex a leaves the edge bc to eliminate
+        assert rep["work"]["faces"] == 7 and rep["work"]["star"] == 6
+        assert [b["rows"] for b in rep["work"]["boundaries"]] == [0, 1]
 
     def test_pcomplex_file(self, capsys, write):
         code, rep, _ = jrun(
             capsys, "complex", "homology", write("u2.json", U2_COMPLEX)
         )
         assert code == 0 and rep["reduced_betti"] == [0, 0, 0]
+        # an order complex keeps the bottom, so it is a cone over it and
+        # the star of its busiest vertex leaves no row to eliminate
+        work = rep["work"]
+        assert work["budget"] == 10_000 and work["faces"] == work["star"] > 0
+        assert [b["rows"] for b in work["boundaries"]] == [0, 0, 0]
 
     def test_sphere_all_elements(self, capsys, write):
         code, rep, _ = jrun(capsys, "complex", "sphere", write("b3.json", BOOL3))

@@ -144,6 +144,19 @@ def test_nonface_ideal_is_computed_once(monkeypatch):
     assert sr.minimal_nonfaces(delta) is sr.section_ring_check(delta).nonface_ideal
 
 
+def test_polarized_complex_is_built_once(monkeypatch):
+    calls = []
+    complement = sr._complement_facet_masks
+    monkeypatch.setattr(
+        sr, "_complement_facet_masks", lambda d, pos: calls.append(d) or complement(d, pos)
+    )
+    delta = Multicomplex((3, 3), [(2, 2), (1, 3)])
+    sc = polarized_complex(delta)
+    rep = sr.polarized_shelling(delta)
+    assert calls == [delta] and rep.ok
+    assert polarized_complex(delta) is sc
+
+
 def drop_one_facet(monkeypatch):
     complement = sr._complement_facet_masks
     monkeypatch.setattr(
