@@ -52,8 +52,7 @@ from .ordercomplex import (
     SimplicialComplex,
     _order_report,
     _reduced_betti_work,
-    _sort_chains,
-    maximal_chains,
+    _reverse_lex_chains,
     order_complex,
     reduced_betti,
     sphere_order_shelling_check,
@@ -270,10 +269,11 @@ def _cmd_complex(args):
         C = _load_pcomplex(args.file)
         L = C.lattice
         # lex and shelling name one order; a non-pure complex raises here
-        chains = _sort_chains(L, maximal_chains(C, budget=args.budget), atom_order)
+        chains = _reverse_lex_chains(C, atom_order, args.budget)
+        faces = C.faces(args.budget)
         report["chain_order"] = args.chain_order
         report["count"] = len(chains)
-        report["chains"] = [[L.label(x) for x in c] for c in chains]
+        report["chains"] = [[L.label(faces[p]) for p in path] for _, path in chains]
         code = 0
         if args.homology:
             sc = order_complex(C, budget=args.budget)

@@ -1,27 +1,33 @@
 """Order complexes, chain orders, simplicial shellings, and homology.
 
 The order complex of a complex S is the simplicial complex of chains in S;
-its facets are the maximal chains.  One total order on maximal chains is
-provided, under two names: the reverse lexicographic order
-(`compare_reverse_lex`), which compares position by position from the top
-in the rank level order, is also the prescribed shelling order
-(`compare_shelling_order`), since comparing the tops first and then the
-truncated chains is the same comparison.  The prescribed order is not
-always a shelling, even when the facet order is
-(``test_private_atom_before_shared_fails`` pins the smallest
-counterexample); `complex_order_shelling` lists the chains by a recursive
-coatom ordering instead, which does shell them.  One restriction-set
-verifier, `verify_nonpure_shelling`, checks simplicial shellings with
-facets of any sizes; `verify_pure_simplicial_shelling` is the same check
-after refusing facets of different sizes.  Reduced homology is
-computed over the rationals by exact integer elimination, with a mod 2
-variant for cross checks, on faces stored as int bitmasks over the vertex
-indexes.  Only the faces outside the closed star of the vertex on the most
-facets are eliminated: the star is a cone, hence contractible, so the
-homology relative to it is the reduced homology of the complex (the long
-exact sequence of the pair; Hatcher, *Algebraic Topology*, section 2.1).
-An order complex that keeps the bottom is a cone and leaves nothing to
-eliminate.
+its facets are the maximal chains.  They are walked once per complex
+(`PComplex.chain_masks`), as int masks over the positions of `S.faces()`,
+which are also the vertex indexes of `order_complex`; `maximal_chains`
+maps them back to elements, and each chain order below is one sort of
+that list.  One total order on maximal chains is provided, under two
+names: the reverse lexicographic order (`compare_reverse_lex`), which
+compares position by position from the top in the rank level order, is
+also the prescribed shelling order (`compare_shelling_order`), since
+comparing the tops first and then the truncated chains is the same
+comparison.  The prescribed order is not always a shelling, even when the
+facet order is (``test_private_atom_before_shared_fails`` pins the
+smallest counterexample); `complex_order_shelling` lists the chains by a
+recursive coatom ordering instead, which does shell them.  One
+restriction-set verifier on int masks, `verify_nonpure_shelling`, checks
+simplicial shellings with facets of any sizes;
+`verify_pure_simplicial_shelling` is the same check after refusing facets
+of different sizes.  Reduced homology is computed over the rationals by
+exact integer elimination, with a mod 2 variant for cross checks, on faces
+stored as int bitmasks over the vertex indexes.  A complex whose facets
+share the vertex set A is the join of the simplex on A with the link of
+A, so it has 2^|A| times as many faces as the link and, when A is not
+empty, no reduced homology: only the link is walked against the face
+budget.  Otherwise only the faces outside the closed star of the vertex on
+the most facets are eliminated: the star is a cone, hence contractible, so
+the homology relative to it is the reduced homology of the complex (the
+long exact sequence of the pair; Hatcher, *Algebraic Topology*, section
+2.1).  An order complex that keeps the bottom is a cone over it.
 """
 
 from __future__ import annotations
@@ -38,7 +44,7 @@ from .lattice import (
     _rank_level_key,
     rank_lex_compare,
 )
-from .pcomplex import PComplex, ShellingReport, sort_by_rank_lex, sphere, verify_shelling
+from .pcomplex import PComplex, sphere, verify_shelling
 
 
 # ---------------------------------------------------------------------------
@@ -53,59 +59,91 @@ def _vertices(mask: int):
         mask ^= low
 
 
+def _is_index(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
 class SimplicialComplex:
-    """Finite simplicial complex given by labeled vertices and facets."""
+    """Finite simplicial complex given by labeled vertices and facets.
+
+    Facets are given as iterables of vertex indexes or as int bitmasks over
+    them, and stored as masks in `facet_masks`; `facets` and `faces()` are
+    frozenset views.
+    """
 
     def __init__(self, vertex_labels, facets):
         labels = tuple(vertex_labels)
         if len(set(labels)) != len(labels):
             raise LatticeInputError("vertex labels must be distinct")
-        by_size: dict[int, set] = {}  # the distinct sets, by size
+        n = len(labels)
+        by_size: dict[int, set] = {}  # the distinct masks, by size
         for f in facets:
-            fs = frozenset(f)
-            for v in fs:
-                if not isinstance(v, int) or v < 0 or v >= len(labels):
-                    raise LatticeInputError(f"facet vertex {v!r} is not a vertex index")
-            by_size.setdefault(len(fs), set()).add(fs)
+            if _is_index(f):
+                if f < 0 or f >> n:
+                    raise LatticeInputError(f"facet mask {f!r} is not over the vertex indexes")
+                m = f
+            else:
+                m = 0
+                for v in f:
+                    if not _is_index(v) or not 0 <= v < n:
+                        raise LatticeInputError(f"facet vertex {v!r} is not a vertex index")
+                    m |= 1 << v
+            by_size.setdefault(m.bit_count(), set()).add(m)
         # a set can only lie in a strictly larger one, so each size is tested
         # against the maximal sets already kept; a pure family needs no test
         maximal = []
         for size in sorted(by_size, reverse=True):
-            maximal += [f for f in by_size[size] if not any(f < g for g in maximal)]
-        maximal.sort(key=lambda f: (len(f), sorted(f)))
+            maximal += [m for m in by_size[size] if not any(m & g == m for g in maximal)]
+        maximal.sort(key=lambda m: (m.bit_count(), tuple(_vertices(m))))
         self.vertex_labels = labels
-        self.facets = tuple(maximal)
+        self.facet_masks = tuple(maximal)
+
+    @property
+    def facets(self) -> tuple:
+        return tuple(frozenset(_vertices(m)) for m in self.facet_masks)
 
     @property
     def dim(self) -> int:
-        return max((len(f) for f in self.facets), default=0) - 1
+        return max((m.bit_count() for m in self.facet_masks), default=0) - 1
 
     def faces(self, budget: int = 20_000) -> set:
-        """All faces, the empty face included."""
-        return {frozenset(_vertices(m)) for m in self._face_masks(budget)}
+        """All faces, the empty face included; refused when there are more
+        than `budget`."""
+        apex, link = self._link(budget)
+        simplex = [0]  # the faces of the simplex on the apex set
+        for v in _vertices(apex):
+            simplex += [s | 1 << v for s in simplex]
+        return {frozenset(_vertices(s | f)) for s in simplex for f in link}
 
-    def _face_masks(self, budget: int) -> set:
-        # every face as an int over the vertex indexes, walked down from the
-        # facets: the children of f are f ^ low for each set bit low.  The
-        # facets and the empty face are seeded unchecked, and each new face
-        # counts against the budget.
-        facets = [sum(1 << v for v in f) for f in self.facets]
-        out = set(facets)
-        out.add(0)
-        stack = facets
-        while stack:
-            f = stack.pop()
-            rest = f
-            while rest:
-                low = rest & -rest
-                rest ^= low
-                g = f ^ low
-                if g not in out:
-                    if len(out) >= budget:
-                        raise BudgetError(f"complex has more than {budget} faces")
-                    out.add(g)
-                    stack.append(g)
-        return out
+    def _link(self, budget: int):
+        # (A, the faces of lk A) for A the intersection of the facets, faces
+        # as ints over the vertex indexes.  The complex is the join of the
+        # simplex on A with lk A, so it has more than `budget` faces exactly
+        # when lk A has more than budget >> |A|; every face counts, the
+        # facets and the empty face too.  Each facet's subsets are walked
+        # once, dropping vertices in increasing order, and the walk stops at
+        # a face already listed, which came with all of its subsets.
+        apex = self.facet_masks[0] if self.facet_masks else 0
+        for m in self.facet_masks:
+            apex &= m
+        cap = budget >> apex.bit_count()
+        out = {0}
+        if len(out) > cap:
+            raise BudgetError(f"complex has more than {budget} faces")
+        for facet in self.facet_masks:
+            stack = [(facet ^ apex, facet ^ apex)]  # (face, vertices it may drop)
+            while stack:
+                f, free = stack.pop()
+                if f in out:
+                    continue
+                if len(out) >= cap:
+                    raise BudgetError(f"complex has more than {budget} faces")
+                out.add(f)
+                while free:
+                    low = free & -free
+                    free ^= low
+                    stack.append((f ^ low, free))
+        return apex, out
 
     @classmethod
     def from_obj(cls, obj) -> "SimplicialComplex":
@@ -129,7 +167,7 @@ class SimplicialComplex:
                     if v not in pos:
                         raise LatticeInputError(f"unknown vertex {v!r}")
                     out.append(pos[v])
-                elif isinstance(v, int) and 0 <= v < len(labels):
+                elif _is_index(v) and 0 <= v < len(labels):
                     out.append(v)
                 else:
                     raise LatticeInputError(f"unknown vertex {v!r}")
@@ -139,7 +177,9 @@ class SimplicialComplex:
     def to_obj(self) -> dict:
         return {
             "vertices": list(self.vertex_labels),
-            "facets": [sorted(self.vertex_labels[v] for v in f) for f in self.facets],
+            "facets": [
+                sorted(self.vertex_labels[v] for v in _vertices(m)) for m in self.facet_masks
+            ],
         }
 
 
@@ -147,56 +187,26 @@ class SimplicialComplex:
 # maximal chains and the order complex
 
 
-def _lower_cover_map(C: PComplex, budget: int) -> dict:
-    # face key -> the face's lower covers in the host lattice, which are
-    # faces too, since a complex is downward closed
-    L = C.lattice
-    return {f.key: L.lower_covers(f) for f in C.faces(budget=budget)}
-
-
 def maximal_chains(C: PComplex, include_bottom: bool = True, budget: int = 10_000):
-    """All maximal chains of the complex, as tuples from bottom upward.
-
-    Since a complex is downward closed, cover steps inside it are cover
-    steps of the host lattice, so chains are walked down the lower covers
-    from each facet to the bottom.
-    """
-    L = C.lattice
-    below = _lower_cover_map(C, budget)
-    chains = []
-    stack = [(f,) for f in C.facets]
-    while stack:
-        path = stack.pop()
-        children = below[path[-1].key]
-        if not children:
-            if len(chains) >= budget:
-                raise BudgetError(f"complex has more than {budget} maximal chains")
-            chains.append(path[::-1])
-            continue
-        for g in children:
-            stack.append(path + (g,))
-    if not include_bottom:
-        chains = [c[1:] for c in chains]
-    sort_keys = {f.key: L.sort_key(f) for f in C.faces(budget=budget)}
-    chains.sort(key=lambda c: tuple(sort_keys[x.key] for x in c))
-    return chains
+    """All maximal chains of the complex, as tuples from bottom upward, in
+    the lexicographic order of their elements' `sort_key`s: the chains of
+    `PComplex.chain_masks`, mapped back to elements."""
+    _, chains = C.chain_masks(budget)
+    element = C.faces(budget).__getitem__
+    skip = 0 if include_bottom else 1  # the bottom is position 0
+    return [tuple(map(element, path[skip:])) for _, path in chains]
 
 
 def order_complex(
     C: PComplex, include_bottom: bool = True, budget: int = 10_000
 ) -> SimplicialComplex:
     """The order complex: vertices are faces of C, facets are maximal chains."""
-    L = C.lattice
-    chains = maximal_chains(C, include_bottom=include_bottom, budget=budget)
-    verts = list(C.faces(budget=budget))
+    _, chains = C.chain_masks(budget)
+    labels = tuple(map(C.lattice.label, C.faces(budget)))
+    masks = [m for m, _ in chains]
     if not include_bottom:
-        verts = [v for v in verts if v.rank > 0 or v != L.bottom]
-    index = {v.key: i for i, v in enumerate(verts)}
-    labels = tuple(L.label(v) for v in verts)
-    facet_sets = [frozenset(index[x.key] for x in chain) for chain in chains]
-    if not facet_sets:
-        facet_sets = [frozenset()]
-    return SimplicialComplex(labels, facet_sets)
+        labels, masks = labels[1:], [m >> 1 for m in masks]
+    return SimplicialComplex(labels, masks)
 
 
 # ---------------------------------------------------------------------------
@@ -229,15 +239,59 @@ def compare_reverse_lex(L: PowerLattice, X, Y, atom_order=None) -> int:
 compare_shelling_order = compare_reverse_lex
 
 
-def _sort_chains(L: PowerLattice, chains, atom_order) -> list:
-    # the chains sorted in the reverse lexicographic order: by the
-    # rank-level keys of their elements, read from the top down
-    if len({len(c) for c in chains}) > 1:
+def _reverse_lex_chains(C: PComplex, atom_order, budget) -> list:
+    # the chains of `PComplex.chain_masks` in the reverse lexicographic
+    # order: by the rank-level keys of their elements read from the top
+    # down, chains with equal keys kept in the `maximal_chains` order.  Each
+    # key is replaced by its place among the distinct keys.
+    _, chains = C.chain_masks(budget)
+    if len({len(path) for _, path in chains}) > 1:
         raise LatticeInputError("chains must have equal length")
-    key = _rank_level_key(L, atom_order)
-    elements = {x.key: x for c in chains for x in c}
-    keys = {k: key(x) for k, x in elements.items()}
-    return sorted(chains, key=lambda c: tuple(keys[x.key] for x in reversed(c)))
+    key = _rank_level_key(C.lattice, atom_order)
+    keys = [key(f) for f in C.faces(budget)]
+    place = {k: i for i, k in enumerate(sorted(set(keys)))}
+    places = [place[k] for k in keys]
+    return sorted(chains, key=lambda chain: tuple(map(places.__getitem__, reversed(chain[1]))))
+
+
+def _coatom_chains(C: PComplex, facets, atom_order, budget) -> list:
+    # the chains of `PComplex.chain_masks` in the recursive coatom order of
+    # `complex_order_shelling`, a depth-first order: the chains sort by each
+    # element's place among its siblings, read from the top down.  The
+    # places below z depend only on z and on the lower covers `shared` of
+    # z's earlier siblings, so they are computed once per (z, shared); the
+    # facets are the children of z = None.
+    below, chains = C.chain_masks(budget)
+    faces = C.faces(budget)
+    key = _rank_level_key(C.lattice, atom_order)
+    pos = [key(f) for f in faces]
+    covers = [sum(1 << g for g in gs) for gs in below]
+
+    def places(order):
+        # each member's place in `order`, and the lower covers of the
+        # members before it
+        out, shared = {}, 0
+        for i, g in enumerate(order):
+            out[g] = (i, shared)
+            shared |= covers[g]
+        return out
+
+    index = {f.key: p for p, f in enumerate(faces)}
+    memo = {(None, 0): places([index[f.key] for f in facets])}
+
+    def chain_key(chain):
+        z, shared, out = None, 0, []
+        for g in reversed(chain[1]):
+            here = memo.get((z, shared))
+            if here is None:
+                order = sorted(below[z], key=lambda y: (not shared >> y & 1, pos[y]))
+                here = memo[z, shared] = places(order)
+            i, shared = here[g]
+            out.append(i)
+            z = g
+        return out
+
+    return sorted(chains, key=chain_key)
 
 
 # ---------------------------------------------------------------------------
@@ -259,39 +313,56 @@ class SimplicialShellingReport:
         return obj
 
 
+def _facet_masks(facets) -> list:
+    # int masks pass through; otherwise each facet is an iterable of
+    # vertices, and each vertex gets one bit, in the order first met
+    facets = list(facets)
+    if all(_is_index(f) for f in facets):
+        return facets
+    bit: dict = {}
+    return [sum({bit.setdefault(v, 1 << len(bit)) for v in f}) for f in facets]
+
+
 def verify_nonpure_shelling(facets_in_order) -> SimplicialShellingReport:
     """Check the shelling condition on an order of facets of any sizes.
 
-    F_1, ..., F_t is a shelling when for all i < j some k < j has
-    F_i n F_j <= F_k n F_j with |F_k n F_j| = |F_j| - 1 (Bjorner and Wachs,
-    "Shellable nonpure complexes and posets I", 1996).  Checked via the
-    restriction sets R_j = {v in F_j : F_j - F_k = {v} for an earlier F_k}:
-    the pair (i, j) fails exactly when R_j <= F_i.  F_j - v is looked up
-    among the earlier facets and their faces of one size less, which finds
-    every such F_k of size at most |F_j|; only an earlier facet larger than
-    F_j is tested directly, so a pure order runs no subset test.  An F_i
-    with R_j <= F_i holds every vertex of R_j, so only the earlier facets
-    through the vertex of R_j on the fewest of them are scanned.  The
-    witness names the first failing j and, for it, the least i.
+    Facets are int bitmasks over vertex indexes, or iterables of vertices,
+    which are converted to masks once.  F_1, ..., F_t is a shelling when
+    for all i < j some k < j has F_i n F_j <= F_k n F_j with
+    |F_k n F_j| = |F_j| - 1 (Bjorner and Wachs, "Shellable nonpure
+    complexes and posets I", 1996).  Checked via the restriction sets
+    R_j = {v in F_j : F_j - F_k = {v} for an earlier F_k}: the pair (i, j)
+    fails exactly when R_j <= F_i.  F_j - v is looked up among the earlier
+    facets and their faces of one size less, which finds every such F_k of
+    size at most |F_j|; only an earlier facet larger than F_j is tested
+    directly, so a pure order runs no subset test.  An F_i with R_j <= F_i
+    holds every vertex of R_j, so only the earlier facets through the
+    vertex of R_j on the fewest of them are scanned.  The witness names the
+    first failing j and, for it, the least i.
     """
-    sets = [frozenset(f) for f in facets_in_order]
-    if not sets:
+    masks = _facet_masks(facets_in_order)
+    if not masks:
         raise LatticeInputError("a shelling needs at least one facet")
-    if len(set(sets)) != len(sets):
+    if len(set(masks)) != len(masks):
         return SimplicialShellingReport(
             False, {"reason": "duplicate facet"}, "facets must be distinct"
         )
     seen: set = set()  # the earlier facets and their faces of one size less
     by_size: dict = {}  # size -> the earlier facets of that size
-    through: dict = {}  # vertex -> ascending indexes of earlier facets on it
-    for j, fj in enumerate(sets):
+    through: dict = {}  # vertex bit -> ascending indexes of earlier facets on it
+    for j, fj in enumerate(masks):
+        card = fj.bit_count()
         if j > 0:
-            card = len(fj)
-            restriction = {v for v in fj if (fj - {v}) in seen}
+            restriction, rest = 0, fj
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                if fj ^ low in seen:
+                    restriction |= low
             larger = [fk for size, fs in by_size.items() if size > card for fk in fs]
             for fk in larger:
-                rest = fj - fk
-                if len(rest) == 1:
+                rest = fj & ~fk
+                if rest and not rest & (rest - 1):
                     restriction |= rest
             if not restriction:
                 return SimplicialShellingReport(
@@ -299,30 +370,33 @@ def verify_nonpure_shelling(facets_in_order) -> SimplicialShellingReport:
                     {"i": 0, "j": j},
                     "facet meets no earlier facet in a face of size one less",
                 )
-            if len(restriction) < card or larger:
-                rf = frozenset(restriction)
-                for i in min((through.get(v, ()) for v in rf), key=len):
-                    if rf <= sets[i]:
+            if restriction.bit_count() < card or larger:
+                on = [through.get(1 << v, ()) for v in _vertices(restriction)]
+                for i in min(on, key=len):
+                    if masks[i] & restriction == restriction:
                         return SimplicialShellingReport(
                             False,
                             {"i": i, "j": j},
                             "no earlier facet covers the intersection with facet i",
                         )
         seen.add(fj)
-        by_size.setdefault(len(fj), []).append(fj)
-        for v in fj:
-            seen.add(fj - {v})
-            through.setdefault(v, []).append(j)
+        by_size.setdefault(card, []).append(fj)
+        rest = fj
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            seen.add(fj ^ low)
+            through.setdefault(low, []).append(j)
     return SimplicialShellingReport(True)
 
 
 def verify_pure_simplicial_shelling(facets_in_order) -> SimplicialShellingReport:
     """Check the shelling condition for an ordered list of equal-size facets:
     `verify_nonpure_shelling`, after refusing facets of different sizes."""
-    sets = [frozenset(f) for f in facets_in_order]
-    if len({len(f) for f in sets}) > 1:
+    masks = _facet_masks(facets_in_order)
+    if len({m.bit_count() for m in masks}) > 1:
         raise LatticeInputError("the pure shelling condition needs equal-size facets")
-    return verify_nonpure_shelling(sets)
+    return verify_nonpure_shelling(masks)
 
 
 @dataclass
@@ -345,25 +419,19 @@ class OrderShellingReport:
         return obj
 
 
-def _chains_to_sets(C: PComplex, chains, budget):
-    index = {v.key: i for i, v in enumerate(C.faces(budget=budget))}
-    return [frozenset(index[x.key] for x in chain) for chain in chains]
-
-
-def _chain_labels(L, chain):
-    return [L.label(x) for x in chain]
-
-
 def _order_report(C: PComplex, chains, budget) -> OrderShellingReport:
-    # check that the chains, in the given order, shell the order complex
-    L = C.lattice
-    rep = verify_pure_simplicial_shelling(_chains_to_sets(C, chains, budget))
+    # check that the chains of `PComplex.chain_masks`, in the given order,
+    # shell the order complex
+    element = C.faces(budget).__getitem__
+    order = tuple(tuple(map(element, path)) for _, path in chains)
+    rep = verify_pure_simplicial_shelling([m for m, _ in chains])
     witness = rep.witness
     if witness is not None and "j" in witness:
+        label = C.lattice.label
         witness = dict(witness)
-        witness["chain_i"] = _chain_labels(L, chains[witness["i"]])
-        witness["chain_j"] = _chain_labels(L, chains[witness["j"]])
-    return OrderShellingReport(rep.ok, len(chains), witness, rep.detail, tuple(chains))
+        witness["chain_i"] = [label(x) for x in order[witness["i"]]]
+        witness["chain_j"] = [label(x) for x in order[witness["j"]]]
+    return OrderShellingReport(rep.ok, len(chains), witness, rep.detail, order)
 
 
 def sphere_order_shelling_check(
@@ -372,8 +440,7 @@ def sphere_order_shelling_check(
     """Sort the maximal chains of the sphere below x reverse
     lexicographically and check that this order shells its order complex."""
     S = sphere(L, x)
-    chains = maximal_chains(S, include_bottom=True, budget=budget)
-    return _order_report(S, _sort_chains(L, chains, atom_order), budget)
+    return _order_report(S, _reverse_lex_chains(S, atom_order, budget), budget)
 
 
 def _facet_order_refusal(C: PComplex, atom_order):
@@ -407,8 +474,7 @@ def complex_order_shelling_check(
     refusal, _ = _facet_order_refusal(C, atom_order)
     if refusal is not None:
         return refusal
-    chains = maximal_chains(C, include_bottom=True, budget=budget)
-    return _order_report(C, _sort_chains(C.lattice, chains, atom_order), budget)
+    return _order_report(C, _reverse_lex_chains(C, atom_order, budget), budget)
 
 
 def complex_order_shelling(
@@ -421,35 +487,15 @@ def complex_order_shelling(
     The facets come in rank-level order, and below each chain element z its
     lower covers come first when they lie under an earlier sibling of z (an
     earlier facet, for a facet; otherwise a lower cover of z's parent that
-    precedes z), then the rest, each part in rank-level order.  A
-    depth-first walk from the top lists the maximal chains in this order
-    (Bjorner and Wachs, "On lexicographically shellable posets", 1983,
-    section 3), and the order is then verified as a simplicial shelling.
+    precedes z), then the rest, each part in rank-level order.  The maximal
+    chains in the depth-first order of that tree (Bjorner and Wachs, "On
+    lexicographically shellable posets", 1983, section 3) are then verified
+    as a simplicial shelling.
     """
-    L = C.lattice
     refusal, facets = _facet_order_refusal(C, atom_order)
     if refusal is not None:
         return refusal
-    key = _rank_level_key(L, atom_order)
-    pos = {f.key: key(f) for f in C.faces(budget=budget)}
-    below = _lower_cover_map(C, budget)
-    chains = []
-
-    def walk(path, siblings):
-        z = path[-1]
-        if z.rank == 0:
-            if len(chains) >= budget:
-                raise BudgetError(f"complex has more than {budget} maximal chains")
-            chains.append(tuple(reversed(path)))
-            return
-        shared = {g.key for s in siblings for g in below[s.key]}
-        order = sorted(below[z.key], key=lambda g: (g.key not in shared, pos[g.key]))
-        for i, g in enumerate(order):
-            walk(path + (g,), order[:i])
-
-    for i, f in enumerate(facets):
-        walk((f,), facets[:i])
-    return _order_report(C, chains, budget)
+    return _order_report(C, _coatom_chains(C, facets, atom_order, budget), budget)
 
 
 # ---------------------------------------------------------------------------
@@ -563,25 +609,29 @@ def _boundary_rows(faces, below, mod2: bool) -> list:
 def _reduced_betti_work(sc: SimplicialComplex, budget: int, mod2: bool = False):
     """(reduced Betti numbers, work record), over the rationals or mod 2.
 
-    The closed star st(v) of a vertex is a cone, hence has no reduced
-    homology, and the long exact sequence of the pair (Hatcher, *Algebraic
-    Topology*, section 2.1) gives H~_k(D) = H_k(D, st v) for every k and
-    every coefficient ring.  So only the faces s with s + v not in D are
-    eliminated, v being the vertex on the most facets (the smallest index
-    on ties).  A cone over v leaves no face to eliminate.
+    Only the link of A, the vertices on every facet, is walked against the
+    budget (`SimplicialComplex._link`).  The closed star st(v) of a vertex
+    is a cone, hence has no reduced homology, and the long exact sequence of
+    the pair (Hatcher, *Algebraic Topology*, section 2.1) gives
+    H~_k(D) = H_k(D, st v) for every k and every coefficient ring.  So only
+    the faces s with s + v not in D are eliminated, v being the vertex on
+    the most facets (the smallest index on ties).  When A is not empty, v
+    lies in A, D is a cone over v and no face is left to eliminate.
     """
-    faces = sc._face_masks(budget)
-    work = {"faces": len(faces), "budget": budget, "star": 0, "boundaries": []}
+    apex, link = sc._link(budget)
+    faces = len(link) << apex.bit_count()
+    work = {"faces": faces, "budget": budget, "star": 0, "boundaries": []}
     top = sc.dim
     if top < 0:
         return (), work
-    on = Counter(v for f in sc.facets for v in f)
-    apex = 1 << min(on, key=lambda v: (-on[v], v))
     levels: dict[int, list] = {}  # the relative faces by dimension
-    for f in faces:
-        if f | apex not in faces:
-            levels.setdefault(f.bit_count() - 1, []).append(f)
-    work["star"] = len(faces) - sum(map(len, levels.values()))
+    if not apex:
+        on = Counter(v for m in sc.facet_masks for v in _vertices(m))
+        star = 1 << min(on, key=lambda v: (-on[v], v))
+        for f in link:
+            if f | star not in link:
+                levels.setdefault(f.bit_count() - 1, []).append(f)
+    work["star"] = faces - sum(map(len, levels.values()))
     for level in levels.values():
         level.sort()
     rank = _rank_mod2 if mod2 else _rank_int
@@ -637,7 +687,7 @@ class WedgeReport:
 def check_wedge(sc: SimplicialComplex, budget: int = 20_000) -> WedgeReport:
     """Check that the complex has the homology of a wedge of top spheres:
     reduced Betti numbers zero below the top dimension."""
-    if len({len(f) for f in sc.facets}) > 1:
+    if len({m.bit_count() for m in sc.facet_masks}) > 1:
         raise LatticeInputError("check_wedge needs a pure complex")
     betti, work = _reduced_betti_work(sc, budget)
     if not betti:

@@ -2,10 +2,12 @@
 
 A complex is a downward closed subset of a lattice, stored by its facets
 (the maximal elements).  This module covers purity, the shelling condition
-on facet orders, and the sphere below an element.  `find_shelling` decides
-shellability of a small complex exactly, by a depth-first search over the
-sets of facets already placed; the non-pure search of `stanley_reisner`
-runs on the same search.
+on facet orders, and the sphere below an element.  A complex keeps its
+faces and its maximal chains once they are walked (`faces`,
+`chain_masks`); the order complexes of `ordercomplex` read them from
+there.  `find_shelling` decides shellability of a small complex exactly,
+by a depth-first search over the sets of facets already placed; the
+non-pure search of `stanley_reisner` runs on the same search.
 """
 
 from __future__ import annotations
@@ -48,6 +50,7 @@ class PComplex:
         self.lattice = L
         self.facets = tuple(maximal)
         self._faces = None
+        self._chains = None
 
     @property
     def rank(self) -> int:
@@ -60,10 +63,13 @@ class PComplex:
         return any(self.lattice.leq(x, f) for f in self.facets)
 
     def faces(self, budget: int = 10_000) -> tuple:
-        """Every element of the complex, by downward closure from the facets."""
+        """Every element of the complex, by downward closure from the facets,
+        in `sort_key` order; refused when there are more than `budget`."""
         if self._faces is None:
             L = self.lattice
             seen = {f.key: f for f in self.facets}
+            if len(seen) > budget:
+                raise BudgetError(f"complex has more than {budget} faces")
             stack = list(self.facets)
             while stack:
                 x = stack.pop()
@@ -75,10 +81,44 @@ class PComplex:
                         stack.append(y)
             self._faces = tuple(sorted(seen.values(), key=L.sort_key))
         elif len(self._faces) > budget:
-            raise BudgetError(
-                f"complex has {len(self._faces)} faces, over the budget {budget}"
-            )
+            raise BudgetError(f"complex has more than {budget} faces")
         return self._faces
+
+    def chain_masks(self, budget: int = 10_000) -> tuple:
+        """(lower covers, maximal chains) over the positions of `faces()`.
+
+        below[p] lists the lower covers of face p in the host's order.  A
+        chain is a pair: its int mask of positions, and the positions from
+        the bottom (position 0) upward.  A cover step inside a downward
+        closed set is one of the host, so the walk up from the bottom
+        through the upper covers, in position order, ends exactly at the
+        facets and lists the chains in the lexicographic order of their
+        `sort_key`s.  Walked once and kept; the face budget is checked
+        first, then the chain budget.
+        """
+        faces = self.faces(budget)
+        if self._chains is None:
+            index = {f.key: p for p, f in enumerate(faces)}
+            below = [[index[g.key] for g in self.lattice.lower_covers(f)] for f in faces]
+            above = [[] for _ in faces]
+            for p, gs in enumerate(below):
+                for g in gs:
+                    above[g].append(p)
+            chains = []
+            stack = [(1, (0,))]
+            while stack:
+                mask, path = stack.pop()
+                ups = above[path[-1]]
+                if not ups:
+                    if len(chains) >= budget:
+                        raise BudgetError(f"complex has more than {budget} maximal chains")
+                    chains.append((mask, path))
+                for q in reversed(ups):
+                    stack.append((mask | 1 << q, path + (q,)))
+            self._chains = (below, tuple(chains))
+        elif len(self._chains[1]) > budget:
+            raise BudgetError(f"complex has more than {budget} maximal chains")
+        return self._chains
 
     def faces_of_rank(self, level: int, budget: int = 10_000) -> tuple:
         return tuple(f for f in self.faces(budget) if f.rank == level)

@@ -536,11 +536,7 @@ def _build_polarized_complex(delta: Multicomplex) -> SimplicialComplex:
         candidates += [m for m in by_size[size] if not any(m & w == m for w in candidates)]
     if set(candidates) != _complement_facet_masks(delta, pos):
         raise LatticeError("polarized facet constructions disagree")
-    labels = [polar_label(v) for v in universe]
-    facets = [
-        {k for k in range(len(universe)) if m & (1 << k)} for m in candidates
-    ]
-    return SimplicialComplex(labels, facets)
+    return SimplicialComplex([polar_label(v) for v in universe], candidates)
 
 
 # ---------------------------------------------------------------------------
@@ -639,8 +635,8 @@ def polarized_shelling(delta: Multicomplex, order=None) -> PolarizedShellingRepo
     universe = polar_universe(delta.box)
     box = delta.box
     keyed = []
-    for facet in sc.facets:
-        vars_present = {universe[k] for k in facet}
+    for mask, facet in zip(sc.facet_masks, sc.facets):
+        vars_present = frozenset(universe[k] for k in facet)
         b = []
         for i, n in enumerate(box):
             copies = {j for (row, j) in vars_present if row == i + 1}
@@ -656,10 +652,10 @@ def polarized_shelling(delta: Multicomplex, order=None) -> PolarizedShellingRepo
                 break
         if host is None:
             raise LatticeError("a polarized facet has no hosting facet")
-        keyed.append(((dpos[host],) + tuple(-v for v in b), vars_present))
+        keyed.append(((dpos[host],) + tuple(-v for v in b), mask, vars_present))
     keyed.sort(key=lambda kv: kv[0])
-    constructed = tuple(frozenset(v) for _, v in keyed)
-    rep = verify_nonpure_shelling(constructed)
+    constructed = tuple(v for _, _, v in keyed)
+    rep = verify_nonpure_shelling([m for _, m, _ in keyed])
     if rep.ok:
         return PolarizedShellingReport(True, constructed, tuple(dorder), True)
     found = find_nonpure_shelling(constructed)

@@ -4,7 +4,8 @@ Before faces were int bitmasks and elimination ran relative to the star of
 one vertex, the library had these:
 
 - `frozenset_faces`: `SimplicialComplex.faces` as a walk down from the
-  facets by frozenset differences, with the same face budget;
+  facets by frozenset differences, with the same face budget, which
+  counts the facets and the empty face too;
 - `tuple_levels`: the faces re-sorted into tuples, grouped by dimension;
 - `tuple_boundary_rows`: the boundary rows of one dimension, each face's
   subfaces looked up by tuple slices;
@@ -23,6 +24,8 @@ def frozenset_faces(sc, budget=20_000) -> set:
     out = {frozenset()}
     stack = list(sc.facets)
     out.update(sc.facets)
+    if len(out) > budget:
+        raise BudgetError(f"complex has more than {budget} faces")
     while stack:
         f = stack.pop()
         for v in f:

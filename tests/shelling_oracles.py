@@ -12,7 +12,11 @@ the library had these:
 - `naive_verify_nonpure_shelling`: the non-pure verifier recomputing R_j
   by set differences against every earlier facet;
 - `pure_verify_simplicial_shelling`: the pure verifier, with its
-  equal-size and duplicate refusals and its hashed restriction sets.
+  equal-size and duplicate refusals and its hashed restriction sets;
+- `frozenset_verify_nonpure_shelling` and
+  `frozenset_verify_pure_simplicial_shelling`: the restriction-set
+  verifier before it ran on int masks, doing its set algebra on
+  frozensets.
 
 The differential tests in test_shelling_paths.py compare the library
 with them.
@@ -166,3 +170,53 @@ def pure_verify_simplicial_shelling(facets_in_order):
             seen_subsets.add(fj - {v})
             through.setdefault(v, []).append(j)
     return SimplicialShellingReport(True)
+
+
+def frozenset_verify_nonpure_shelling(facets_in_order):
+    sets = [frozenset(f) for f in facets_in_order]
+    if not sets:
+        raise LatticeInputError("a shelling needs at least one facet")
+    if len(set(sets)) != len(sets):
+        return SimplicialShellingReport(
+            False, {"reason": "duplicate facet"}, "facets must be distinct"
+        )
+    seen: set = set()  # the earlier facets and their faces of one size less
+    by_size: dict = {}  # size -> the earlier facets of that size
+    through: dict = {}  # vertex -> ascending indexes of earlier facets on it
+    for j, fj in enumerate(sets):
+        if j > 0:
+            card = len(fj)
+            restriction = {v for v in fj if (fj - {v}) in seen}
+            larger = [fk for size, fs in by_size.items() if size > card for fk in fs]
+            for fk in larger:
+                rest = fj - fk
+                if len(rest) == 1:
+                    restriction |= rest
+            if not restriction:
+                return SimplicialShellingReport(
+                    False,
+                    {"i": 0, "j": j},
+                    "facet meets no earlier facet in a face of size one less",
+                )
+            if len(restriction) < card or larger:
+                rf = frozenset(restriction)
+                for i in min((through.get(v, ()) for v in rf), key=len):
+                    if rf <= sets[i]:
+                        return SimplicialShellingReport(
+                            False,
+                            {"i": i, "j": j},
+                            "no earlier facet covers the intersection with facet i",
+                        )
+        seen.add(fj)
+        by_size.setdefault(len(fj), []).append(fj)
+        for v in fj:
+            seen.add(fj - {v})
+            through.setdefault(v, []).append(j)
+    return SimplicialShellingReport(True)
+
+
+def frozenset_verify_pure_simplicial_shelling(facets_in_order):
+    sets = [frozenset(f) for f in facets_in_order]
+    if len({len(f) for f in sets}) > 1:
+        raise LatticeInputError("the pure shelling condition needs equal-size facets")
+    return frozenset_verify_nonpure_shelling(sets)

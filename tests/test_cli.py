@@ -64,6 +64,10 @@ MALFORMED_COMPLEXES = [
     {"lattice": BOOL3, "facets": 3},
     {"lattice": BOOL3, "facets": 1.5},
 ]
+MALFORMED_SIMPLICIAL = [
+    {"vertices": ["a", "b"], "facets": [[True], [False, True]]},
+    {"vertices": ["a", "b"], "facets": [["a", False]]},
+]
 MALFORMED_MATROIDS = [
     {"lattice": M22, "independents": None},
     {"lattice": M22, "independents": 4},
@@ -296,6 +300,12 @@ class TestComplexOrder:
 
 
 class TestComplexHomologyAndSphere:
+    @pytest.mark.parametrize("sc", MALFORMED_SIMPLICIAL, ids=json.dumps)
+    def test_malformed_simplicial_file(self, capsys, write, sc):
+        # JSON booleans are not vertex indexes
+        code, out, err = run(capsys, "complex", "homology", write("sc.json", sc))
+        assert code == 2 and err.startswith("error:") and not out
+
     def test_simplicial_file(self, capsys, write):
         sc = {
             "vertices": ["a", "b", "c"],

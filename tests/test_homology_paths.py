@@ -1,6 +1,6 @@
-"""Homology on face bitmasks, relative to the star of one vertex, against
-the frozenset walk and full-complex elimination it replaced
-(homology_oracles.py).
+"""Homology on face bitmasks, on the link of the vertices every facet
+holds and relative to the star of one vertex, against the frozenset walk
+and full-complex elimination it replaced (homology_oracles.py).
 
 Every cone leaves nothing to eliminate, so the order complexes without
 their bottom and the random complexes keep the elimination itself under
@@ -155,3 +155,56 @@ def test_hollow_triangle_eliminates_one_edge():
         {"rows": 0, "cols": 0, "rank": 0},
         {"rows": 1, "cols": 0, "rank": 0},
     ]
+
+
+# --- the link of the vertices on every facet -----------------------------------
+
+FIVE_POINTS = [(v,) for v in range(5)]  # 6 faces, five of them facets
+
+
+@pytest.mark.parametrize("fn", [fn for fn, _ in PATHS] + [oracle for _, oracle in PATHS])
+def test_seeded_faces_count_against_the_budget(fn):
+    for budget in (3, 5):
+        with pytest.raises(BudgetError, match=rf"^complex has more than {budget} faces$"):
+            fn(simplicial(FIVE_POINTS), budget)
+    fn(simplicial(FIVE_POINTS), 6)
+
+
+def cone(base, apex_size):
+    """The join of `base` with the simplex on `apex_size` new vertices."""
+    start = 1 + max(v for f in base for v in f)
+    apex = tuple(range(start, start + apex_size))
+    return simplicial([tuple(f) + apex for f in base])
+
+
+CONE_BASES = [
+    [(0, 1), (2, 3)],  # two components: 7 faces
+    TRIANGLE,  # a circle: 7 faces
+    RP2_FACETS,  # 32 faces, torsion in its homology
+]
+
+
+@pytest.mark.parametrize("apex_size", [1, 2, 3])
+@pytest.mark.parametrize("base", CONE_BASES, ids=["edges", "triangle", "rp2"])
+def test_cone_face_budget_boundary(base, apex_size):
+    sc = cone(base, apex_size)
+    n = len(frozenset_faces(sc, 10**6))
+    assert n == len(frozenset_faces(simplicial(base), 10**6)) << apex_size
+    zeros = (0,) * (sc.dim + 1)
+    for budget in (n, n + 1):  # n + 1 is odd
+        assert len(sc.faces(budget)) == n
+        assert reduced_betti(sc, budget) == zeros == reduced_betti_mod2(sc, budget)
+        assert agree(sc, budget)
+        assert check_wedge(sc, budget).work == {
+            "faces": n,
+            "budget": budget,
+            "star": n,
+            "boundaries": [{"rows": 0, "cols": 0, "rank": 0}] * (sc.dim + 1),
+        }
+    for budget in (n - 1, (n >> 1) + 1):  # n - 1 is odd
+        for fn, _ in PATHS:
+            with pytest.raises(BudgetError, match=rf"^complex has more than {budget} faces$"):
+                fn(sc, budget)
+        with pytest.raises(BudgetError, match=rf"^complex has more than {budget} faces$"):
+            check_wedge(sc, budget)
+        assert not agree(sc, budget)

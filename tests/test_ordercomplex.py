@@ -36,8 +36,9 @@ from powerlat import (
     verify_pure_simplicial_shelling,
     verify_shelling,
 )
-from powerlat.ordercomplex import _sort_chains
+from powerlat.ordercomplex import _reverse_lex_chains
 
+from chain_oracles import sort_chains
 from test_graphic import SLOTS, canonical, graph_of
 
 # the unique 6 vertex triangulation of the real projective plane
@@ -221,6 +222,15 @@ class TestSimplicialComplexFacets:
                 "facets": [[str(v) for v in f] for f in facets],
             }
             assert SimplicialComplex.from_obj(obj).facets == want
+            masks = [sum(1 << v for v in f) for f in facets]
+            assert SimplicialComplex(obj["vertices"], masks).facets == want
+
+    def test_rejects_booleans_and_foreign_masks(self):
+        for facets in ([[True]], [[0, False]], [0b100]):
+            with pytest.raises(LatticeInputError):
+                SimplicialComplex(["a", "b"], facets)
+        with pytest.raises(LatticeInputError, match="unknown vertex True"):
+            SimplicialComplex.from_obj({"vertices": ["a", "b"], "facets": [[True]]})
 
 
 # --- chain comparisons ------------------------------------------------------
@@ -609,10 +619,15 @@ class TestChainOrderOracles:
         for tag, C, atom_order in differential_cases(corpus):
             L = C.lattice
             chains = maximal_chains(C)
-            rng.shuffle(chains)
             cmp = lambda A, B: compare_reverse_lex(L, A, B, atom_order)
+            # equal keys keep the maximal_chains order
+            faces = C.faces()
+            got = [tuple(faces[p] for p in path) for _, path in _reverse_lex_chains(C, atom_order, 10_000)]
+            assert got == sorted(chains, key=cmp_to_key(cmp)), (tag, atom_order)
+            # the oracle sort keeps equal keys in any order it is given
+            rng.shuffle(chains)
             want = sorted(chains, key=cmp_to_key(cmp))
-            assert _sort_chains(L, chains, atom_order) == want, (tag, atom_order)
+            assert sort_chains(L, chains, atom_order) == want, (tag, atom_order)
 
     def test_shelling_order_matches_two_step_body(self, corpus):
         for tag, C, atom_order in differential_cases(corpus):

@@ -2,9 +2,10 @@
 replaced, and the traced names the benchmark wraps.
 
 `find_shelling` and `find_nonpure_shelling` run one subset search, and
-`verify_nonpure_shelling` is the one simplicial verifier, behind the
-equal-size refusal of `verify_pure_simplicial_shelling`.  The earlier
-implementations live in shelling_oracles.py.
+`verify_nonpure_shelling` is the one simplicial verifier, on int masks,
+behind the equal-size refusal of `verify_pure_simplicial_shelling`.  The
+earlier implementations, the same verifier on frozensets among them, live
+in shelling_oracles.py.
 """
 
 import json
@@ -34,6 +35,8 @@ from powerlat.cli import main
 
 from shelling_oracles import (
     backtracking_find_shelling,
+    frozenset_verify_nonpure_shelling,
+    frozenset_verify_pure_simplicial_shelling,
     naive_verify_nonpure_shelling,
     pure_verify_simplicial_shelling,
     subset_find_nonpure_shelling,
@@ -139,6 +142,14 @@ def orders_to_check(rng, facets):
     return [order] + ([list(found)] if found is not None else [])
 
 
+def verdict(rep):
+    return rep.ok, rep.witness, rep.detail
+
+
+def masks_of(order):
+    return [sum(1 << v for v in f) for f in order]
+
+
 class TestVerifier:
     def test_matches_nonpure_oracle_on_antichains(self):
         rng = random.Random(37)
@@ -148,6 +159,8 @@ class TestVerifier:
                 rep = verify_nonpure_shelling(order)
                 old = naive_verify_nonpure_shelling(order)
                 assert (rep.ok, rep.witness) == (old.ok, old.witness), order
+                assert verdict(rep) == verdict(frozenset_verify_nonpure_shelling(order)), order
+                assert verdict(verify_nonpure_shelling(masks_of(order))) == verdict(rep), order
                 verdicts.add(rep.ok)
         assert verdicts == {True, False}
 
@@ -162,6 +175,8 @@ class TestVerifier:
             rep = verify_nonpure_shelling(order)
             old = naive_verify_nonpure_shelling(order)
             assert (rep.ok, rep.witness) == (old.ok, old.witness), order
+            assert verdict(rep) == verdict(frozenset_verify_nonpure_shelling(order)), order
+            assert verdict(verify_nonpure_shelling(masks_of(order))) == verdict(rep), order
 
     def test_matches_pure_oracle_on_equal_sizes(self):
         rng = random.Random(43)
@@ -174,11 +189,16 @@ class TestVerifier:
             new = verify_pure_simplicial_shelling(order)
             old = pure_verify_simplicial_shelling(order)
             assert (new.ok, new.witness, new.detail) == (old.ok, old.witness, old.detail), order
+            assert verdict(new) == verdict(frozenset_verify_pure_simplicial_shelling(order)), order
             verdicts.add(str(new.witness))
         assert "None" in verdicts and str({"reason": "duplicate facet"}) in verdicts
 
     def test_refusals(self):
-        for verify in (verify_pure_simplicial_shelling, pure_verify_simplicial_shelling):
+        for verify in (
+            verify_pure_simplicial_shelling,
+            pure_verify_simplicial_shelling,
+            frozenset_verify_pure_simplicial_shelling,
+        ):
             with pytest.raises(LatticeInputError, match="at least one facet"):
                 verify([])
             with pytest.raises(LatticeInputError, match="equal-size facets"):
