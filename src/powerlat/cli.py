@@ -452,6 +452,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.set_defaults(text=False, atom_order=None)
 
+    # global flags accepted after the subcommand too; SUPPRESS keeps a
+    # subparser from clobbering values parsed at the top level
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
         "--text",
@@ -470,14 +472,15 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sub = parser.add_subparsers(dest="group", required=True)
 
-    p_lat = sub.add_parser("lattice", help="verify or describe a lattice file")
+    p_lat = sub.add_parser("lattice", parents=[common], help="verify or describe a lattice file")
     p_lat.add_argument("action", choices=["verify", "info"])
     p_lat.add_argument("file")
     p_lat.add_argument("--budget", type=int, default=5_000_000)
-    _absorb(p_lat, common)
     p_lat.set_defaults(run=_cmd_lattice)
 
-    p_cx = sub.add_parser("complex", help="shellings, chains, and homology of a complex")
+    p_cx = sub.add_parser(
+        "complex", parents=[common], help="shellings, chains, and homology of a complex"
+    )
     p_cx.add_argument("action", choices=["shell", "order", "homology", "sphere"])
     p_cx.add_argument("file")
     p_cx.add_argument("--order", metavar="CSV", help="facet order to verify (shell)")
@@ -497,26 +500,29 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p_cx.add_argument("--element", metavar="JSON", help="single element to check (sphere)")
     p_cx.add_argument("--budget", type=int, default=10_000)
-    _absorb(p_cx, common)
     p_cx.set_defaults(run=_cmd_complex)
 
-    p_mat = sub.add_parser("matroid", help="matroid axioms, bases, shellings, exchange")
+    p_mat = sub.add_parser(
+        "matroid", parents=[common], help="matroid axioms, bases, shellings, exchange"
+    )
     p_mat.add_argument("action", choices=["verify", "bases", "shelling", "exchange"])
     p_mat.add_argument("file")
     p_mat.add_argument("--budget", type=int, default=5_000_000)
     p_mat.add_argument("--x", metavar="JSON", help="basis element (exchange)")
     p_mat.add_argument("--y", metavar="JSON", help="basis element (exchange)")
     p_mat.add_argument("--a", metavar="JSON", help="atom with v_a(y) > v_a(x) (exchange)")
-    _absorb(p_mat, common)
     p_mat.set_defaults(run=_cmd_matroid)
 
-    p_gr = sub.add_parser("graph", help="weighted graphic matroid of a graph file")
+    p_gr = sub.add_parser(
+        "graph", parents=[common], help="weighted graphic matroid of a graph file"
+    )
     p_gr.add_argument("action", choices=["matroid"])
     p_gr.add_argument("file")
-    _absorb(p_gr, common)
     p_gr.set_defaults(run=_cmd_graph)
 
-    p_sr = sub.add_parser("sr", help="nonface ideal, section ring check, polarization")
+    p_sr = sub.add_parser(
+        "sr", parents=[common], help="nonface ideal, section ring check, polarization"
+    )
     p_sr.add_argument(
         "action", choices=["ideal", "section-check", "polarize", "shell-polarized"]
     )
@@ -525,23 +531,14 @@ def _build_parser() -> argparse.ArgumentParser:
         "--format", choices=["m2", "singular", "json"], help="export the ideal (ideal)"
     )
     p_sr.add_argument("--order", metavar="CSV", help="facet order to lift (shell-polarized)")
-    _absorb(p_sr, common)
     p_sr.set_defaults(run=_cmd_sr)
 
-    p_ex = sub.add_parser("export", help="export a monomial ideal for a CAS")
+    p_ex = sub.add_parser("export", parents=[common], help="export a monomial ideal for a CAS")
     p_ex.add_argument("file")
     p_ex.add_argument("--format", choices=["m2", "singular", "json"], default="m2")
-    _absorb(p_ex, common)
     p_ex.set_defaults(run=_cmd_export)
 
     return parser
-
-
-def _absorb(target: argparse.ArgumentParser, common: argparse.ArgumentParser):
-    # global flags accepted after the subcommand too; SUPPRESS keeps the
-    # subparser from clobbering values parsed at the top level
-    for action in common._actions:
-        target._add_action(action)
 
 
 def main(argv=None) -> int:

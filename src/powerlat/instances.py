@@ -297,22 +297,6 @@ def _rref(rows, q):
     return tuple(tuple(row) for row in rows[:r]), tuple(pivots)
 
 
-def _nullspace(rows, q, n):
-    """Basis of {w in F_q^n : rows . w = 0}."""
-    rr, pivots = _rref(rows, q)
-    pivot_set = set(pivots)
-    basis = []
-    for f in range(n):
-        if f in pivot_set:
-            continue
-        w = [0] * n
-        w[f] = 1
-        for i, p in enumerate(pivots):
-            w[p] = (-rr[i][f]) % q
-        basis.append(tuple(w))
-    return basis
-
-
 class SubspaceLattice(PowerLattice):
     """Subspaces of F_q^n ordered by inclusion, for small prime q."""
 
@@ -404,21 +388,11 @@ class SubspaceLattice(PowerLattice):
         return self._make(rr)
 
     def meet(self, x, y):
-        if not x.key or not y.key:
-            return self.bottom
-        q = self.q
-        k1 = len(x.key)
-        stacked = list(x.key) + [tuple((-v) % q for v in row) for row in y.key]
-        transposed = [tuple(row[j] for row in stacked) for j in range(self.n)]
-        vecs = []
-        for w in _nullspace(transposed, q, len(stacked)):
-            vec = tuple(
-                sum(w[i] * x.key[i][j] for i in range(k1)) % q for j in range(self.n)
-            )
-            if any(vec):
-                vecs.append(vec)
-        rr, _ = _rref(vecs, q)
-        return self._make(rr)
+        # the span of the lines both contain; valuations mark those lines
+        shared = [
+            line for line, a, b in zip(self._lines, x.valuation, y.valuation) if a and b
+        ]
+        return self._make(_rref(shared, self.q)[0])
 
     def leq(self, x, y):
         # inclusion of subspaces is containment of their line sets

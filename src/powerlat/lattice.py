@@ -38,9 +38,12 @@ class BudgetError(LatticeError):
 class Element:
     """Handle for a lattice element with rank and valuation cached.
 
-    Identity is (host lattice, key).  Keys are instance specific: index sets,
-    exponent tuples, reduced basis matrices, names.  The valuation vector is
-    stored in the host's atom enumeration order.
+    Keys are instance specific: index sets, exponent tuples, reduced basis
+    matrices, names.  Every handle is made by its host's `PowerLattice._new`,
+    which interns it per (host, key), so two handles are equal exactly when
+    they are the same object: equality and hashing are by identity, and an
+    element of another host is never equal to one of this host.  The
+    valuation vector is stored in the host's atom enumeration order.
     """
 
     __slots__ = ("host", "key", "rank", "valuation")
@@ -51,20 +54,8 @@ class Element:
         self.rank = rank
         self.valuation = tuple(valuation)
 
-    def __eq__(self, other):
-        if not isinstance(other, Element):
-            return NotImplemented
-        return self.host is other.host and self.key == other.key
-
-    def __hash__(self):
-        return hash(self.key)
-
     def __repr__(self):
         return f"<{self.host.label(self)}>"
-
-    @property
-    def total_valuation(self) -> int:
-        return sum(self.valuation)
 
 
 class PowerLattice(ABC):
@@ -165,11 +156,11 @@ class PowerLattice(ABC):
 
     def atom_index(self, w: Element) -> int:
         if self._atom_pos is None:
-            self._atom_pos = {a.key: i for i, a in enumerate(self.atoms)}
+            self._atom_pos = {a: i for i, a in enumerate(self.atoms)}
         try:
-            return self._atom_pos[w.key]
+            return self._atom_pos[w]
         except KeyError:
-            raise LatticeInputError(f"{self.label(w)} is not an atom") from None
+            raise LatticeInputError(f"{w.host.label(w)} is not an atom") from None
 
     def leq(self, x: Element, y: Element) -> bool:
         return self.meet(x, y) == x

@@ -157,6 +157,8 @@ class SimplicialComplex:
         pos = {s: i for i, s in enumerate(labels)}
         if len(pos) != len(labels):
             raise LatticeInputError("vertex labels must be distinct")
+        if not isinstance(obj["facets"], list):
+            raise LatticeInputError("'facets' must be a list of facets")
         facets = []
         for f in obj["facets"]:
             if not isinstance(f, list):
@@ -276,8 +278,8 @@ def _coatom_chains(C: PComplex, facets, atom_order, budget) -> list:
             shared |= covers[g]
         return out
 
-    index = {f.key: p for p, f in enumerate(faces)}
-    memo = {(None, 0): places([index[f.key] for f in facets])}
+    index = {f: p for p, f in enumerate(faces)}
+    memo = {(None, 0): places([index[f] for f in facets])}
 
     def chain_key(chain):
         z, shared, out = None, 0, []

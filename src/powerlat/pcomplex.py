@@ -67,19 +67,19 @@ class PComplex:
         in `sort_key` order; refused when there are more than `budget`."""
         if self._faces is None:
             L = self.lattice
-            seen = {f.key: f for f in self.facets}
+            seen = set(self.facets)
             if len(seen) > budget:
                 raise BudgetError(f"complex has more than {budget} faces")
             stack = list(self.facets)
             while stack:
                 x = stack.pop()
                 for y in L.lower_covers(x):
-                    if y.key not in seen:
+                    if y not in seen:
                         if len(seen) >= budget:
                             raise BudgetError(f"complex has more than {budget} faces")
-                        seen[y.key] = y
+                        seen.add(y)
                         stack.append(y)
-            self._faces = tuple(sorted(seen.values(), key=L.sort_key))
+            self._faces = tuple(sorted(seen, key=L.sort_key))
         elif len(self._faces) > budget:
             raise BudgetError(f"complex has more than {budget} faces")
         return self._faces
@@ -98,8 +98,8 @@ class PComplex:
         """
         faces = self.faces(budget)
         if self._chains is None:
-            index = {f.key: p for p, f in enumerate(faces)}
-            below = [[index[g.key] for g in self.lattice.lower_covers(f)] for f in faces]
+            index = {f: p for p, f in enumerate(faces)}
+            below = [[index[g] for g in self.lattice.lower_covers(f)] for f in faces]
             above = [[] for _ in faces]
             for p, gs in enumerate(below):
                 for g in gs:
@@ -119,9 +119,6 @@ class PComplex:
         elif len(self._chains[1]) > budget:
             raise BudgetError(f"complex has more than {budget} maximal chains")
         return self._chains
-
-    def faces_of_rank(self, level: int, budget: int = 10_000) -> tuple:
-        return tuple(f for f in self.faces(budget) if f.rank == level)
 
     def to_obj(self) -> dict:
         return {"facets": [self.lattice.element_to_obj(f) for f in self.facets]}

@@ -526,17 +526,11 @@ def _build_polarized_complex(delta: Multicomplex) -> SimplicialComplex:
             f"polarization capped at {_POLAR_VARIABLE_LIMIT} variables"
         )
     pos = {v: k for k, v in enumerate(universe)}
-    by_size: dict[int, list] = {}
-    for m in _facet_family_masks(delta, pos):
-        by_size.setdefault(m.bit_count(), []).append(m)
-    # a mask can only lie in a strictly larger one, so each size is tested
-    # against the maximal masks already kept
-    candidates = []
-    for size in sorted(by_size, reverse=True):
-        candidates += [m for m in by_size[size] if not any(m & w == m for w in candidates)]
-    if set(candidates) != _complement_facet_masks(delta, pos):
+    # SimplicialComplex keeps the maximal members of the candidate family
+    sc = SimplicialComplex([polar_label(v) for v in universe], _facet_family_masks(delta, pos))
+    if set(sc.facet_masks) != _complement_facet_masks(delta, pos):
         raise LatticeError("polarized facet constructions disagree")
-    return SimplicialComplex([polar_label(v) for v in universe], candidates)
+    return sc
 
 
 # ---------------------------------------------------------------------------

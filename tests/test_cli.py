@@ -8,7 +8,7 @@ import sys
 import pytest
 
 import powerlat
-from powerlat import build_multiset
+from powerlat import Edge, bases, build_multiset, graphic_matroid, weighted_graph
 from powerlat.cli import main
 
 from test_instances import MALFORMED_SPECS
@@ -67,6 +67,8 @@ MALFORMED_COMPLEXES = [
 MALFORMED_SIMPLICIAL = [
     {"vertices": ["a", "b"], "facets": [[True], [False, True]]},
     {"vertices": ["a", "b"], "facets": [["a", False]]},
+    {"vertices": ["a"], "facets": 5},
+    {"vertices": ["a"], "facets": None},
 ]
 MALFORMED_MATROIDS = [
     {"lattice": M22, "independents": None},
@@ -302,7 +304,7 @@ class TestComplexOrder:
 class TestComplexHomologyAndSphere:
     @pytest.mark.parametrize("sc", MALFORMED_SIMPLICIAL, ids=json.dumps)
     def test_malformed_simplicial_file(self, capsys, write, sc):
-        # JSON booleans are not vertex indexes
+        # JSON booleans are not vertex indexes, and the facets are a list
         code, out, err = run(capsys, "complex", "homology", write("sc.json", sc))
         assert code == 2 and err.startswith("error:") and not out
 
@@ -608,26 +610,54 @@ class TestGlobalBehaviors:
             "elements": [L.label(x) for x in L.elements()],
             "covers": [[L.label(x), L.label(y)] for x in L.elements() for y in L.covers(x)],
         }
+        # A graphic matroid on a 384-element multiset lattice, whose
+        # elements hash by identity, so that set order follows memory
+        # addresses: its bases, its independence complex's chain order, and
+        # the family with one basis dropped, which fails I3
+        edges = [("a", "b", 1), ("b", "c", 1), ("a", "c", 1), ("c", "d", 1),
+                 ("b", "d", 1), ("a", "d", 1), ("a", "b", 2), ("c", "d", 1)]
+        G = graphic_matroid(weighted_graph(
+            ["a", "b", "c", "d"],
+            [Edge(f"e{i}", u, v, wt) for i, (u, v, wt) in enumerate(edges, 1)],
+        ))
+        GL = G.host
+        host = {"type": "multiset", "exponents": list(GL.exponents), "labels": list(GL.labels)}
+        graph_bases = bases(G)
+        assert GL.element_count() > 256
         paths = [
             write("i2.json", {"lattice": m22, "independents": ["1", "x_1^2", "x_1*x_2", "x_2^2"]}),
             write("i3.json", {"lattice": m22, "independents": ["1", "x_1", "x_2", "x_1^2", "x_2^2"]}),
+        ]
+        requests = [("matroid", action, path) for path in paths for action in ("verify", "bases")]
+        requests += [
+            ("matroid", "bases", write("g.json", {
+                "lattice": host, "independents": sorted(list(x.key) for x in G.independents),
+            })),
+            ("matroid", "verify", write("g3.json", {
+                "lattice": host,
+                "independents": sorted(
+                    list(x.key) for x in G.independents if x is not graph_bases[5]
+                ),
+            })),
+            ("complex", "order", write("gc.json", {
+                "lattice": host, "facets": [list(b.key) for b in graph_bases],
+            })),
         ]
         src = os.path.dirname(os.path.dirname(powerlat.__file__))
         reports = {}
         for seed in range(4):
             env = dict(os.environ, PYTHONHASHSEED=str(seed), PYTHONPATH=src)
-            for path in paths:
-                for action in ("verify", "bases"):
-                    done = subprocess.run(
-                        [sys.executable, "-m", "powerlat.cli", "matroid", action, path],
-                        env=env, capture_output=True, text=True, timeout=60,
-                    )
-                    rep = json.loads(done.stdout)
-                    rep.pop("elapsed_s")
-                    reports.setdefault((path, action), []).append(rep)
-        for (path, action), reps in reports.items():
-            assert all(rep == reps[0] for rep in reps), (path, action)
-            if action == "verify":
+            for request in requests:
+                done = subprocess.run(
+                    [sys.executable, "-m", "powerlat.cli", *request],
+                    env=env, capture_output=True, text=True, timeout=60,
+                )
+                rep = json.loads(done.stdout)
+                rep.pop("elapsed_s")
+                reports.setdefault(request, []).append(rep)
+        for request, reps in reports.items():
+            assert all(rep == reps[0] for rep in reps), request
+            if request[1] == "verify":
                 assert not reps[0]["ok"]
 
     def test_atom_order_changes_listing_not_verdict(self, capsys, write):
