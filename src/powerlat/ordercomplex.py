@@ -1,33 +1,37 @@
 """Order complexes, chain orders, simplicial shellings, and homology.
 
 The order complex of a complex S is the simplicial complex of chains in S;
-its facets are the maximal chains.  They are walked once per complex
-(`PComplex.chain_masks`), as int masks over the positions of `S.faces()`,
-which are also the vertex indexes of `order_complex`; `maximal_chains`
-maps them back to elements, and each chain order below is one sort of
-that list.  One total order on maximal chains is provided, under two
-names: the reverse lexicographic order (`compare_reverse_lex`), which
-compares position by position from the top in the rank level order, is
-also the prescribed shelling order (`compare_shelling_order`), since
-comparing the tops first and then the truncated chains is the same
-comparison.  The prescribed order is not always a shelling, even when the
-facet order is (``test_private_atom_before_shared_fails`` pins the
-smallest counterexample); `complex_order_shelling` lists the chains by a
-recursive coatom ordering instead, which does shell them.  One
-restriction-set verifier on int masks, `verify_nonpure_shelling`, checks
-simplicial shellings with facets of any sizes;
-`verify_pure_simplicial_shelling` is the same check after refusing facets
-of different sizes.  Reduced homology is computed over the rationals by
-exact integer elimination, with a mod 2 variant for cross checks, on faces
-stored as int bitmasks over the vertex indexes.  A complex whose facets
-share the vertex set A is the join of the simplex on A with the link of
-A, so it has 2^|A| times as many faces as the link and, when A is not
-empty, no reduced homology: only the link is walked against the face
-budget.  Otherwise only the faces outside the closed star of the vertex on
-the most facets are eliminated: the star is a cone, hence contractible, so
-the homology relative to it is the reduced homology of the complex (the
-long exact sequence of the pair; Hatcher, *Algebraic Topology*, section
-2.1).  An order complex that keeps the bottom is a cone over it.
+its facets are the maximal chains.  They are counted on the face poset,
+then walked once per complex (`PComplex.chain_masks`), as int masks over
+the positions of `S.faces()`, which are also the vertex indexes of
+`order_complex`; `maximal_chains` maps them back to elements, and each
+chain order below is one sort of that list.  The faces of the order
+complex, the chains of S, are counted on the poset too (`order_complex`),
+so the homology of a cone lists none of them.  One total order on maximal
+chains is provided, under two names: the reverse lexicographic order
+(`compare_reverse_lex`), which compares position by position from the top
+in the rank level order, is also the prescribed shelling order
+(`compare_shelling_order`), since comparing the tops first and then the
+truncated chains is the same comparison.  The prescribed order is not
+always a shelling, even when the facet order is
+(``test_private_atom_before_shared_fails`` pins the smallest
+counterexample); `complex_order_shelling` lists the chains by a recursive
+coatom ordering instead, which does shell them.  One restriction-set
+verifier on int masks, `verify_nonpure_shelling`, checks simplicial
+shellings with facets of any sizes; `verify_pure_simplicial_shelling` is
+the same check after refusing facets of different sizes.  Reduced homology
+is computed over the rationals by exact integer elimination, with a mod 2
+variant for cross checks, on faces stored as int bitmasks over the vertex
+indexes.  A complex whose facets share the vertex set A is the join of the
+simplex on A with the link of A, so it has 2^|A| times as many faces as
+the link and, when A is not empty, no reduced homology: its faces are
+counted against the face budget, from the poset for an order complex and
+otherwise by walking the link.  When A is empty only the faces outside the
+closed star of the vertex on the most facets are eliminated: the star is a
+cone, hence contractible, so the homology relative to it is the reduced
+homology of the complex (the long exact sequence of the pair; Hatcher,
+*Algebraic Topology*, section 2.1).  An order complex that keeps the
+bottom is a cone over it.
 """
 
 from __future__ import annotations
@@ -94,9 +98,15 @@ class SimplicialComplex:
         maximal = []
         for size in sorted(by_size, reverse=True):
             maximal += [m for m in by_size[size] if not any(m & g == m for g in maximal)]
-        maximal.sort(key=lambda m: (m.bit_count(), tuple(_vertices(m))))
+        # facets of equal size in the lexicographic order of their vertex
+        # tuples: where two first differ, the earlier one has the vertex, so
+        # they sort by the binary digits of their complements read from
+        # vertex 0 up
+        full = (1 << n) - 1
+        maximal.sort(key=lambda m: (m.bit_count(), bin(m ^ full)[:1:-1]))
         self.vertex_labels = labels
         self.facet_masks = tuple(maximal)
+        self._face_count = None  # set where the faces are counted without a walk
 
     @property
     def facets(self) -> tuple:
@@ -115,17 +125,22 @@ class SimplicialComplex:
             simplex += [s | 1 << v for s in simplex]
         return {frozenset(_vertices(s | f)) for s in simplex for f in link}
 
-    def _link(self, budget: int):
-        # (A, the faces of lk A) for A the intersection of the facets, faces
-        # as ints over the vertex indexes.  The complex is the join of the
-        # simplex on A with lk A, so it has more than `budget` faces exactly
-        # when lk A has more than budget >> |A|; every face counts, the
-        # facets and the empty face too.  Each facet's subsets are walked
-        # once, dropping vertices in increasing order, and the walk stops at
-        # a face already listed, which came with all of its subsets.
+    def _apex(self) -> int:
+        # A, the vertices on every facet, as a mask
         apex = self.facet_masks[0] if self.facet_masks else 0
         for m in self.facet_masks:
             apex &= m
+        return apex
+
+    def _link(self, budget: int):
+        # (A, the faces of lk A) for A = `_apex()`, faces as ints over the
+        # vertex indexes.  The complex is the join of the simplex on A with
+        # lk A, so it has more than `budget` faces exactly when lk A has
+        # more than budget >> |A|; every face counts, the facets and the
+        # empty face too.  Each facet's subsets are walked once, dropping
+        # vertices in increasing order, and the walk stops at a face already
+        # listed, which came with all of its subsets.
+        apex = self._apex()
         cap = budget >> apex.bit_count()
         out = {0}
         if len(out) > cap:
@@ -199,16 +214,43 @@ def maximal_chains(C: PComplex, include_bottom: bool = True, budget: int = 10_00
     return [tuple(map(element, path[skip:])) for _, path in chains]
 
 
+def _chain_count(below) -> int:
+    # the chains of the face poset minus its bottom (position 0), the empty
+    # chain included.  Positions follow a linear extension, so the strict
+    # down-set of x, an int mask over positions, is the union of its lower
+    # covers' down-sets and the covers themselves; the chains with top x
+    # number 1 plus those with top y, summed over the y below x.
+    down = [0] * len(below)
+    topped = [0] * len(below)  # 0 at the bottom, which is left out
+    for x in range(1, len(below)):
+        d = 0
+        for g in below[x]:
+            d |= down[g] | 1 << g
+        down[x] = d
+        topped[x] = 1 + sum(map(topped.__getitem__, _vertices(d)))
+    return 1 + sum(topped)
+
+
 def order_complex(
     C: PComplex, include_bottom: bool = True, budget: int = 10_000
 ) -> SimplicialComplex:
-    """The order complex: vertices are faces of C, facets are maximal chains."""
-    _, chains = C.chain_masks(budget)
+    """The order complex: vertices are faces of C, facets are maximal chains.
+
+    Its faces are the chains of C (Stanley, *Enumerative Combinatorics 1*,
+    section 3.8), so their number is counted on the poset and kept for the
+    face budget of `_reduced_betti_work`; keeping the bottom doubles it.
+    """
+    below, chains = C.chain_masks(budget)
     labels = tuple(map(C.lattice.label, C.faces(budget)))
     masks = [m for m, _ in chains]
-    if not include_bottom:
+    faces = _chain_count(below)
+    if include_bottom:
+        faces <<= 1
+    else:
         labels, masks = labels[1:], [m >> 1 for m in masks]
-    return SimplicialComplex(labels, masks)
+    sc = SimplicialComplex(labels, masks)
+    sc._face_count = faces
+    return sc
 
 
 # ---------------------------------------------------------------------------
@@ -404,13 +446,21 @@ def verify_pure_simplicial_shelling(facets_in_order) -> SimplicialShellingReport
 @dataclass
 class OrderShellingReport:
     """Verdict on a chain order; `order` holds the chains in the order
-    checked, bottom upward, and is left out of `to_obj`."""
+    checked, bottom upward, and is left out of `to_obj`.  It is built when
+    read, from each chain's positions in `_paths` and the faces at those
+    positions, `_faces`."""
 
     ok: bool
     chains: int
     witness: dict | None = None
     detail: str = ""
-    order: tuple = field(default=(), repr=False)
+    _paths: tuple = field(default=(), repr=False)
+    _faces: tuple = field(default=(), repr=False)
+
+    @property
+    def order(self) -> tuple:
+        element = self._faces.__getitem__
+        return tuple(tuple(map(element, path)) for path in self._paths)
 
     def to_obj(self) -> dict:
         obj = {"ok": self.ok, "chains": self.chains}
@@ -424,16 +474,16 @@ class OrderShellingReport:
 def _order_report(C: PComplex, chains, budget) -> OrderShellingReport:
     # check that the chains of `PComplex.chain_masks`, in the given order,
     # shell the order complex
-    element = C.faces(budget).__getitem__
-    order = tuple(tuple(map(element, path)) for _, path in chains)
+    faces = C.faces(budget)
+    paths = tuple(path for _, path in chains)
     rep = verify_pure_simplicial_shelling([m for m, _ in chains])
     witness = rep.witness
     if witness is not None and "j" in witness:
         label = C.lattice.label
         witness = dict(witness)
-        witness["chain_i"] = [label(x) for x in order[witness["i"]]]
-        witness["chain_j"] = [label(x) for x in order[witness["j"]]]
-    return OrderShellingReport(rep.ok, len(chains), witness, rep.detail, order)
+        witness["chain_i"] = [label(faces[p]) for p in paths[witness["i"]]]
+        witness["chain_j"] = [label(faces[p]) for p in paths[witness["j"]]]
+    return OrderShellingReport(rep.ok, len(chains), witness, rep.detail, paths, faces)
 
 
 def sphere_order_shelling_check(
@@ -611,17 +661,27 @@ def _boundary_rows(faces, below, mod2: bool) -> list:
 def _reduced_betti_work(sc: SimplicialComplex, budget: int, mod2: bool = False):
     """(reduced Betti numbers, work record), over the rationals or mod 2.
 
-    Only the link of A, the vertices on every facet, is walked against the
-    budget (`SimplicialComplex._link`).  The closed star st(v) of a vertex
-    is a cone, hence has no reduced homology, and the long exact sequence of
-    the pair (Hatcher, *Algebraic Topology*, section 2.1) gives
-    H~_k(D) = H_k(D, st v) for every k and every coefficient ring.  So only
-    the faces s with s + v not in D are eliminated, v being the vertex on
-    the most facets (the smallest index on ties).  When A is not empty, v
-    lies in A, D is a cone over v and no face is left to eliminate.
+    When A, the vertices on every facet, is not empty and the faces were
+    counted on a poset (`order_complex`), that count is the one held
+    against the budget and recorded, and no face is walked.  Otherwise
+    only the link of A is walked against the budget
+    (`SimplicialComplex._link`), and the faces are the link's times 2^|A|.
+    The closed star st(v) of a vertex is a cone, hence has no reduced
+    homology, and the long exact sequence of the pair (Hatcher, *Algebraic
+    Topology*, section 2.1) gives H~_k(D) = H_k(D, st v) for every k and
+    every coefficient ring.  So only the faces s with s + v not in D are
+    eliminated, v being the vertex on the most facets (the smallest index
+    on ties).  When A is not empty, v lies in A, D is a cone over v and no
+    face is left to eliminate.
     """
-    apex, link = sc._link(budget)
-    faces = len(link) << apex.bit_count()
+    apex = sc._apex()
+    if apex and sc._face_count is not None:
+        faces, link = sc._face_count, ()
+        if faces > budget:
+            raise BudgetError(f"complex has more than {budget} faces")
+    else:
+        apex, link = sc._link(budget)
+        faces = len(link) << apex.bit_count()
     work = {"faces": faces, "budget": budget, "star": 0, "boundaries": []}
     top = sc.dim
     if top < 0:

@@ -3,11 +3,12 @@
 A complex is a downward closed subset of a lattice, stored by its facets
 (the maximal elements).  This module covers purity, the shelling condition
 on facet orders, and the sphere below an element.  A complex keeps its
-faces and its maximal chains once they are walked (`faces`,
-`chain_masks`); the order complexes of `ordercomplex` read them from
-there.  `find_shelling` decides shellability of a small complex exactly,
-by a depth-first search over the sets of facets already placed; the
-non-pure search of `stanley_reisner` runs on the same search.
+faces, their lower covers with the number of maximal chains, counted
+before any chain is walked, and the maximal chains once they are walked
+(`faces`, `chain_masks`); the order complexes of `ordercomplex` read them
+from there.  `find_shelling` decides shellability of a small complex
+exactly, by a depth-first search over the sets of facets already placed;
+the non-pure search of `stanley_reisner` runs on the same search.
 """
 
 from __future__ import annotations
@@ -50,6 +51,7 @@ class PComplex:
         self.lattice = L
         self.facets = tuple(maximal)
         self._faces = None
+        self._below = None
         self._chains = None
 
     @property
@@ -93,13 +95,15 @@ class PComplex:
         closed set is one of the host, so the walk up from the bottom
         through the upper covers, in position order, ends exactly at the
         facets and lists the chains in the lexicographic order of their
-        `sort_key`s.  Walked once and kept; the face budget is checked
-        first, then the chain budget.
+        `sort_key`s.  The face budget is checked first, then the chain
+        budget, against the maximal chains counted before any is walked
+        (`_covers`).  Walked once and kept.
         """
         faces = self.faces(budget)
+        below, count = self._covers()
+        if count > budget:
+            raise BudgetError(f"complex has more than {budget} maximal chains")
         if self._chains is None:
-            index = {f: p for p, f in enumerate(faces)}
-            below = [[index[g] for g in self.lattice.lower_covers(f)] for f in faces]
             above = [[] for _ in faces]
             for p, gs in enumerate(below):
                 for g in gs:
@@ -110,15 +114,26 @@ class PComplex:
                 mask, path = stack.pop()
                 ups = above[path[-1]]
                 if not ups:
-                    if len(chains) >= budget:
-                        raise BudgetError(f"complex has more than {budget} maximal chains")
                     chains.append((mask, path))
                 for q in reversed(ups):
                     stack.append((mask | 1 << q, path + (q,)))
             self._chains = (below, tuple(chains))
-        elif len(self._chains[1]) > budget:
-            raise BudgetError(f"complex has more than {budget} maximal chains")
         return self._chains
+
+    def _covers(self) -> tuple:
+        # (below, the number of maximal chains), once the faces are listed.
+        # Positions follow `sort_key`, which is rank-first, so the lower
+        # covers of a face come before it: the maximal chains of [0, x]
+        # number 1 at the bottom and otherwise the sum over x's lower
+        # covers, and the maximal chains of the complex end at its facets.
+        if self._below is None:
+            index = {f: p for p, f in enumerate(self._faces)}
+            below = [[index[g] for g in self.lattice.lower_covers(f)] for f in self._faces]
+            through = [1]
+            for gs in below[1:]:
+                through.append(sum(map(through.__getitem__, gs)))
+            self._below = (below, sum(through[index[f]] for f in self.facets))
+        return self._below
 
     def to_obj(self) -> dict:
         return {"facets": [self.lattice.element_to_obj(f) for f in self.facets]}

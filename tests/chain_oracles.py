@@ -13,17 +13,32 @@ positions of its faces, the library had these, all on tuples of elements:
   `element_complex_order_shelling_check` and
   `element_complex_order_shelling`: the chain-order checks, the last with
   its own recursive walk of the chains, each verified on frozensets of
-  face positions by the frozenset verifier of shelling_oracles.py.
+  face positions by the frozenset verifier of shelling_oracles.py, with
+  the chains' elements held in the report (`ElementOrderReport`).
 
 The differential tests in test_chain_paths.py compare the library with
 them.
 """
 
+from dataclasses import dataclass
+
 from powerlat import BudgetError, LatticeInputError, SimplicialComplex, sphere
 from powerlat.lattice import _rank_level_key
-from powerlat.ordercomplex import OrderShellingReport, _facet_order_refusal
+from powerlat.ordercomplex import _facet_order_refusal
 
 from shelling_oracles import frozenset_verify_pure_simplicial_shelling
+
+
+@dataclass
+class ElementOrderReport:
+    """The verdict fields of `OrderShellingReport`, with `order` the tuple
+    of the chains' elements, built with the report."""
+
+    ok: bool
+    chains: int
+    witness: dict | None = None
+    detail: str = ""
+    order: tuple = ()
 
 
 def lower_cover_map(C, budget):
@@ -89,7 +104,7 @@ def order_report(C, chains, budget):
         witness = dict(witness)
         witness["chain_i"] = [L.label(x) for x in chains[witness["i"]]]
         witness["chain_j"] = [L.label(x) for x in chains[witness["j"]]]
-    return OrderShellingReport(rep.ok, len(chains), witness, rep.detail, tuple(chains))
+    return ElementOrderReport(rep.ok, len(chains), witness, rep.detail, tuple(chains))
 
 
 def element_sphere_order_shelling_check(L, x, atom_order=None, budget=10_000):
