@@ -3,40 +3,40 @@
 The order complex of a complex S is the simplicial complex of chains in S;
 its facets are the maximal chains.  They are counted on the face poset,
 then walked once per complex (`PComplex.chain_masks`), as int masks over
-the positions of `S.faces()`, which are also the vertex indexes of
-`order_complex`; `maximal_chains` maps them back to elements, and each
-chain order below is one sort of that list.  The faces of the order
-complex, the chains of S, are counted on the poset too (`order_complex`),
-so the homology of a cone lists none of them.  One total order on maximal
-chains is provided, under two names: the reverse lexicographic order
-(`compare_reverse_lex`), which compares position by position from the top
-in the rank level order, is also the prescribed shelling order
-(`compare_shelling_order`), since comparing the tops first and then the
-truncated chains is the same comparison.  The prescribed order is not
-always a shelling, even when the facet order is
-(``test_private_atom_before_shared_fails`` pins the smallest
-counterexample); `complex_order_shelling` lists the chains by a recursive
-coatom ordering instead, which does shell them.  One restriction-set
-verifier on int masks, `verify_nonpure_shelling`, checks simplicial
-shellings with facets of any sizes; `verify_pure_simplicial_shelling` is
-the same check after refusing facets of different sizes.  Reduced homology
-is computed over the rationals by exact integer elimination, with a mod 2
-variant for cross checks, on faces stored as int bitmasks over the vertex
-indexes.  A complex whose facets share the vertex set A is the join of the
-simplex on A with the link of A, so it has 2^|A| times as many faces as
-the link and, when A is not empty, no reduced homology: its faces are
-counted against the face budget, from the poset for an order complex and
-otherwise by walking the link.  When A is empty only the faces outside the
-closed star of the vertex on the most facets are eliminated: the star is a
-cone, hence contractible, so the homology relative to it is the reduced
-homology of the complex (the long exact sequence of the pair; Hatcher,
-*Algebraic Topology*, section 2.1).  An order complex that keeps the
-bottom is a cone over it.
+the positions of `S.faces()`, the vertex indexes of `order_complex`, which
+takes the walked chains as its facets with no second check; each chain
+order below is one sort of that list.  The faces of the order complex, the
+chains of S, are counted on the poset too, so the homology of a cone lists
+none of them.  One total order on maximal chains is provided, under two
+names: the reverse lexicographic order (`compare_reverse_lex`), which
+compares position by position from the top in the rank level order, is
+also the prescribed shelling order (`compare_shelling_order`), since
+comparing the tops first and then the truncated chains is the same
+comparison.  The prescribed order is not always a shelling, even when the
+facet order is (``test_private_atom_before_shared_fails`` pins the
+smallest counterexample); `complex_order_shelling` lists the chains by a
+recursive coatom ordering instead, which does shell them.  One
+restriction-set verifier on int masks, `verify_nonpure_shelling`, with one
+bitset of earlier facets per vertex, checks simplicial shellings with
+facets of any sizes; `verify_pure_simplicial_shelling` first refuses
+unequal sizes.  Reduced homology is computed over the rationals by exact
+integer elimination, with a mod 2 variant for cross checks, on faces
+stored as int bitmasks over the vertex indexes.  A complex whose facets
+share the vertex set A is the join of the simplex on A with the link of A,
+so it has 2^|A| times as many faces as the link and, when A is not empty,
+no reduced homology: its faces are counted against the face budget, from
+the poset for an order complex and otherwise by walking the link.  When A
+is empty only the faces outside the closed star of the vertex on the most
+facets are eliminated: the star is a cone, hence contractible, so the
+homology relative to it is the reduced homology of the complex (the long
+exact sequence of the pair; Hatcher, *Algebraic Topology*, section 2.1).
+An order complex that keeps the bottom is a cone over it.
 """
 
 from __future__ import annotations
 
 from collections import Counter
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from math import gcd
 
@@ -72,7 +72,8 @@ class SimplicialComplex:
 
     Facets are given as iterables of vertex indexes or as int bitmasks over
     them, and stored as masks in `facet_masks`; `facets` and `faces()` are
-    frozenset views.
+    frozenset views.  The constructor validates its input; `order_complex`
+    sets the fields of one whose facets are known to be valid (`_set`).
     """
 
     def __init__(self, vertex_labels, facets):
@@ -86,6 +87,8 @@ class SimplicialComplex:
                 if f < 0 or f >> n:
                     raise LatticeInputError(f"facet mask {f!r} is not over the vertex indexes")
                 m = f
+            elif not isinstance(f, Iterable):
+                raise LatticeInputError(f"facet {f!r} is neither a mask nor a set of vertex indexes")
             else:
                 m = 0
                 for v in f:
@@ -104,12 +107,20 @@ class SimplicialComplex:
         # vertex 0 up
         full = (1 << n) - 1
         maximal.sort(key=lambda m: (m.bit_count(), bin(m ^ full)[:1:-1]))
+        self._set(labels, tuple(maximal))
+
+    def _set(self, labels, masks, paths=None, face_count=None):
+        # `paths`, where given, lists each facet's vertex indexes, and
+        # `face_count` the faces counted without a walk
         self.vertex_labels = labels
-        self.facet_masks = tuple(maximal)
-        self._face_count = None  # set where the faces are counted without a walk
+        self.facet_masks = masks
+        self._paths = paths
+        self._face_count = face_count
 
     @property
     def facets(self) -> tuple:
+        if self._paths is not None:
+            return tuple(map(frozenset, self._paths))
         return tuple(frozenset(_vertices(m)) for m in self.facet_masks)
 
     @property
@@ -239,17 +250,18 @@ def order_complex(
     Its faces are the chains of C (Stanley, *Enumerative Combinatorics 1*,
     section 3.8), so their number is counted on the poset and kept for the
     face budget of `_reduced_betti_work`; keeping the bottom doubles it.
+    The walked chains are distinct, maximal and in the lexicographic order
+    of their positions: stably sorted by length, they are its facets.
     """
     below, chains = C.chain_masks(budget)
     labels = tuple(map(C.lattice.label, C.faces(budget)))
-    masks = [m for m, _ in chains]
+    chains = sorted(chains, key=lambda chain: len(chain[1]))
     faces = _chain_count(below)
+    sc = SimplicialComplex.__new__(SimplicialComplex)
     if include_bottom:
-        faces <<= 1
+        sc._set(labels, tuple(m for m, _ in chains), tuple(p for _, p in chains), faces << 1)
     else:
-        labels, masks = labels[1:], [m >> 1 for m in masks]
-    sc = SimplicialComplex(labels, masks)
-    sc._face_count = faces
+        sc._set(labels[1:], tuple(m >> 1 for m, _ in chains), None, faces)
     return sc
 
 
@@ -287,7 +299,8 @@ def _reverse_lex_chains(C: PComplex, atom_order, budget) -> list:
     # the chains of `PComplex.chain_masks` in the reverse lexicographic
     # order: by the rank-level keys of their elements read from the top
     # down, chains with equal keys kept in the `maximal_chains` order.  Each
-    # key is replaced by its place among the distinct keys.
+    # key is replaced by its place among the distinct keys; where the places
+    # are the positions, as with the default atom order, by the position.
     _, chains = C.chain_masks(budget)
     if len({len(path) for _, path in chains}) > 1:
         raise LatticeInputError("chains must have equal length")
@@ -295,6 +308,8 @@ def _reverse_lex_chains(C: PComplex, atom_order, budget) -> list:
     keys = [key(f) for f in C.faces(budget)]
     place = {k: i for i, k in enumerate(sorted(set(keys)))}
     places = [place[k] for k in keys]
+    if places == list(range(len(places))):
+        return sorted(chains, key=lambda chain: chain[1][::-1])
     return sorted(chains, key=lambda chain: tuple(map(places.__getitem__, reversed(chain[1]))))
 
 
@@ -361,8 +376,11 @@ def _facet_masks(facets) -> list:
     # int masks pass through; otherwise each facet is an iterable of
     # vertices, and each vertex gets one bit, in the order first met
     facets = list(facets)
-    if all(_is_index(f) for f in facets):
+    kinds = {_is_index(f) for f in facets}
+    if kinds == {True}:
         return facets
+    if True in kinds:
+        raise LatticeInputError("facets mix int masks with iterables of vertices")
     bit: dict = {}
     return [sum({bit.setdefault(v, 1 << len(bit)) for v in f}) for f in facets]
 
@@ -379,10 +397,11 @@ def verify_nonpure_shelling(facets_in_order) -> SimplicialShellingReport:
     fails exactly when R_j <= F_i.  F_j - v is looked up among the earlier
     facets and their faces of one size less, which finds every such F_k of
     size at most |F_j|; only an earlier facet larger than F_j is tested
-    directly, so a pure order runs no subset test.  An F_i with R_j <= F_i
-    holds every vertex of R_j, so only the earlier facets through the
-    vertex of R_j on the fewest of them are scanned.  The witness names the
-    first failing j and, for it, the least i.
+    directly, so a pure order runs no subset test.  Each vertex keeps a
+    bitset of the earlier facets on it, so the F_i with R_j <= F_i are the
+    AND of the bitsets of R_j's vertices.  The witness names the first
+    failing j and, for it, the least i: the lowest bit of that AND.
+    Masks and iterables of vertices are not mixed in one order.
     """
     masks = _facet_masks(facets_in_order)
     if not masks:
@@ -393,7 +412,7 @@ def verify_nonpure_shelling(facets_in_order) -> SimplicialShellingReport:
         )
     seen: set = set()  # the earlier facets and their faces of one size less
     by_size: dict = {}  # size -> the earlier facets of that size
-    through: dict = {}  # vertex bit -> ascending indexes of earlier facets on it
+    on: dict = {}  # vertex bit -> the bitset of the earlier facets on it
     for j, fj in enumerate(masks):
         card = fj.bit_count()
         if j > 0:
@@ -415,22 +434,25 @@ def verify_nonpure_shelling(facets_in_order) -> SimplicialShellingReport:
                     "facet meets no earlier facet in a face of size one less",
                 )
             if restriction.bit_count() < card or larger:
-                on = [through.get(1 << v, ()) for v in _vertices(restriction)]
-                for i in min(on, key=len):
-                    if masks[i] & restriction == restriction:
-                        return SimplicialShellingReport(
-                            False,
-                            {"i": i, "j": j},
-                            "no earlier facet covers the intersection with facet i",
-                        )
+                holding, rest = -1, restriction  # the earlier F_i with R_j <= F_i
+                while rest and holding:
+                    low = rest & -rest
+                    rest ^= low
+                    holding &= on.get(low, 0)
+                if holding:
+                    return SimplicialShellingReport(
+                        False,
+                        {"i": (holding & -holding).bit_length() - 1, "j": j},
+                        "no earlier facet covers the intersection with facet i",
+                    )
         seen.add(fj)
         by_size.setdefault(card, []).append(fj)
-        rest = fj
+        bit, rest = 1 << j, fj
         while rest:
             low = rest & -rest
             rest ^= low
             seen.add(fj ^ low)
-            through.setdefault(low, []).append(j)
+            on[low] = on.get(low, 0) | bit
     return SimplicialShellingReport(True)
 
 

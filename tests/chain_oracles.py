@@ -9,6 +9,10 @@ positions of its faces, the library had these, all on tuples of elements:
   turned into frozensets of face positions;
 - `sort_chains`: the reverse lexicographic sort of the chains it is given,
   the second sort after the one in `element_maximal_chains`;
+- `place_map_reverse_lex_chains`: the reverse lexicographic sort of the
+  walked chains by a tuple of rank-level places per chain, for every atom
+  order, before the places that equal the positions were sorted by the
+  reversed positions themselves;
 - `element_sphere_order_shelling_check`,
   `element_complex_order_shelling_check` and
   `element_complex_order_shelling`: the chain-order checks, the last with
@@ -89,6 +93,17 @@ def sort_chains(L, chains, atom_order):
     elements = {x.key: x for c in chains for x in c}
     keys = {k: key(x) for k, x in elements.items()}
     return sorted(chains, key=lambda c: tuple(keys[x.key] for x in reversed(c)))
+
+
+def place_map_reverse_lex_chains(C, atom_order, budget):
+    _, chains = C.chain_masks(budget)
+    if len({len(path) for _, path in chains}) > 1:
+        raise LatticeInputError("chains must have equal length")
+    key = _rank_level_key(C.lattice, atom_order)
+    keys = [key(f) for f in C.faces(budget)]
+    place = {k: i for i, k in enumerate(sorted(set(keys)))}
+    places = [place[k] for k in keys]
+    return sorted(chains, key=lambda chain: tuple(map(places.__getitem__, reversed(chain[1]))))
 
 
 def chains_to_sets(C, chains, budget):

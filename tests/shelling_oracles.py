@@ -16,13 +16,17 @@ the library had these:
 - `frozenset_verify_nonpure_shelling` and
   `frozenset_verify_pure_simplicial_shelling`: the restriction-set
   verifier before it ran on int masks, doing its set algebra on
-  frozensets.
+  frozensets;
+- `rarest_vertex_verify_nonpure_shelling`: the int-mask verifier before
+  each vertex kept a bitset of the earlier facets on it, scanning the
+  ascending index list of the vertex of R_j on the fewest earlier facets.
 
 The differential tests in test_shelling_paths.py compare the library
 with them.
 """
 
 from powerlat import BudgetError, LatticeInputError, SimplicialShellingReport
+from powerlat.ordercomplex import _is_index, _vertices
 from powerlat.pcomplex import sort_by_rank_lex
 
 
@@ -220,3 +224,62 @@ def frozenset_verify_pure_simplicial_shelling(facets_in_order):
     if len({len(f) for f in sets}) > 1:
         raise LatticeInputError("the pure shelling condition needs equal-size facets")
     return frozenset_verify_nonpure_shelling(sets)
+
+
+def _rarest_vertex_facet_masks(facets):
+    facets = list(facets)
+    if all(_is_index(f) for f in facets):
+        return facets
+    bit: dict = {}
+    return [sum({bit.setdefault(v, 1 << len(bit)) for v in f}) for f in facets]
+
+
+def rarest_vertex_verify_nonpure_shelling(facets_in_order):
+    masks = _rarest_vertex_facet_masks(facets_in_order)
+    if not masks:
+        raise LatticeInputError("a shelling needs at least one facet")
+    if len(set(masks)) != len(masks):
+        return SimplicialShellingReport(
+            False, {"reason": "duplicate facet"}, "facets must be distinct"
+        )
+    seen: set = set()  # the earlier facets and their faces of one size less
+    by_size: dict = {}  # size -> the earlier facets of that size
+    through: dict = {}  # vertex bit -> ascending indexes of earlier facets on it
+    for j, fj in enumerate(masks):
+        card = fj.bit_count()
+        if j > 0:
+            restriction, rest = 0, fj
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                if fj ^ low in seen:
+                    restriction |= low
+            larger = [fk for size, fs in by_size.items() if size > card for fk in fs]
+            for fk in larger:
+                rest = fj & ~fk
+                if rest and not rest & (rest - 1):
+                    restriction |= rest
+            if not restriction:
+                return SimplicialShellingReport(
+                    False,
+                    {"i": 0, "j": j},
+                    "facet meets no earlier facet in a face of size one less",
+                )
+            if restriction.bit_count() < card or larger:
+                on = [through.get(1 << v, ()) for v in _vertices(restriction)]
+                for i in min(on, key=len):
+                    if masks[i] & restriction == restriction:
+                        return SimplicialShellingReport(
+                            False,
+                            {"i": i, "j": j},
+                            "no earlier facet covers the intersection with facet i",
+                        )
+        seen.add(fj)
+        by_size.setdefault(card, []).append(fj)
+        rest = fj
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            seen.add(fj ^ low)
+            through.setdefault(low, []).append(j)
+    return SimplicialShellingReport(True)

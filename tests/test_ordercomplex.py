@@ -229,6 +229,10 @@ class TestSimplicialComplexFacets:
         for facets in ([[True]], [[0, False]], [0b100]):
             with pytest.raises(LatticeInputError):
                 SimplicialComplex(["a", "b"], facets)
+        # a facet that is neither a mask nor an iterable of vertex indexes
+        for facets in ([True], [[0], 1.5], [None], [[0], object()]):
+            with pytest.raises(LatticeInputError, match="neither a mask nor a set of vertex indexes"):
+                SimplicialComplex(["a", "b"], facets)
         with pytest.raises(LatticeInputError, match="unknown vertex True"):
             SimplicialComplex.from_obj({"vertices": ["a", "b"], "facets": [[True]]})
 

@@ -205,6 +205,10 @@ class TestVerifier:
                 verify([{0, 1}, {2}])
         with pytest.raises(LatticeInputError, match="at least one facet"):
             verify_nonpure_shelling([])
+        for verify in (verify_nonpure_shelling, verify_pure_simplicial_shelling):
+            for order in ([3, {0, 1}], [{0, 1}, 3], [[2], 1, [0]]):
+                with pytest.raises(LatticeInputError, match="mix int masks with iterables of vertices"):
+                    verify(order)
 
     def test_duplicate_facet_in_both_verifiers(self):
         for verify in (verify_nonpure_shelling, verify_pure_simplicial_shelling):
