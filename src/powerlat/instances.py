@@ -145,21 +145,19 @@ def _bounded_sums(bounds, total):
     suffix = [0] * (n + 1)
     for i in range(n - 1, -1, -1):
         suffix[i] = suffix[i + 1] + bounds[i]
-    return _sums_from(bounds, suffix, 0, total)
 
+    def rec(i, rem):
+        if i == n:
+            if rem == 0:
+                yield ()
+            return
+        lo = max(0, rem - suffix[i + 1])
+        hi = min(bounds[i], rem)
+        for v in range(hi, lo - 1, -1):
+            for rest in rec(i + 1, rem - v):
+                yield (v,) + rest
 
-def _sums_from(bounds, suffix, i, rem):
-    # the tuples of `_bounded_sums` from coordinate i on, summing to rem; a
-    # module function, not a closure, so that no call leaves a cycle
-    if i == len(bounds):
-        if rem == 0:
-            yield ()
-        return
-    lo = max(0, rem - suffix[i + 1])
-    hi = min(bounds[i], rem)
-    for v in range(hi, lo - 1, -1):
-        for rest in _sums_from(bounds, suffix, i + 1, rem - v):
-            yield (v,) + rest
+    return rec(0, total)
 
 
 class MultisetLattice(PowerLattice):

@@ -109,18 +109,15 @@ class SimplicialComplex:
         maximal.sort(key=lambda m: (m.bit_count(), bin(m ^ full)[:1:-1]))
         self._set(labels, tuple(maximal))
 
-    def _set(self, labels, masks, paths=None, face_count=None):
-        # `paths`, where given, lists each facet's vertex indexes, and
-        # `face_count` the faces counted without a walk
+    def _set(self, labels, masks, face_count=None):
+        # `face_count`, where given, is the number of faces counted without
+        # a walk
         self.vertex_labels = labels
         self.facet_masks = masks
-        self._paths = paths
         self._face_count = face_count
 
     @property
     def facets(self) -> tuple:
-        if self._paths is not None:
-            return tuple(map(frozenset, self._paths))
         return tuple(frozenset(_vertices(m)) for m in self.facet_masks)
 
     @property
@@ -255,13 +252,14 @@ def order_complex(
     """
     below, chains = C.chain_masks(budget)
     labels = tuple(map(C.lattice.label, C.faces(budget)))
-    chains = sorted(chains, key=lambda chain: len(chain[1]))
+    masks = sorted((m for m, _ in chains), key=int.bit_count)
     faces = _chain_count(below)
-    sc = SimplicialComplex.__new__(SimplicialComplex)
     if include_bottom:
-        sc._set(labels, tuple(m for m, _ in chains), tuple(p for _, p in chains), faces << 1)
+        faces <<= 1
     else:
-        sc._set(labels[1:], tuple(m >> 1 for m, _ in chains), None, faces)
+        labels, masks = labels[1:], [m >> 1 for m in masks]
+    sc = SimplicialComplex.__new__(SimplicialComplex)
+    sc._set(labels, tuple(masks), faces)
     return sc
 
 
@@ -376,7 +374,14 @@ def _facet_masks(facets) -> list:
     # int masks pass through; otherwise each facet is an iterable of
     # vertices, and each vertex gets one bit, in the order first met
     facets = list(facets)
-    kinds = {_is_index(f) for f in facets}
+    kinds = set()  # True for an int mask, False for an iterable of vertices
+    for f in facets:
+        if _is_index(f):
+            kinds.add(True)
+        elif isinstance(f, Iterable):
+            kinds.add(False)
+        else:
+            raise LatticeInputError(f"facet {f!r} is neither a mask nor a set of vertices")
     if kinds == {True}:
         return facets
     if True in kinds:
@@ -401,7 +406,8 @@ def verify_nonpure_shelling(facets_in_order) -> SimplicialShellingReport:
     bitset of the earlier facets on it, so the F_i with R_j <= F_i are the
     AND of the bitsets of R_j's vertices.  The witness names the first
     failing j and, for it, the least i: the lowest bit of that AND.
-    Masks and iterables of vertices are not mixed in one order.
+    Each facet is an int mask or an iterable of vertices, and one order
+    does not mix the two.
     """
     masks = _facet_masks(facets_in_order)
     if not masks:

@@ -235,25 +235,25 @@ def _subset_search(t: int, rescue):
     completes are remembered and never entered twice; the order found is
     the one a backtracking search over prefixes finds first.
     """
+    full = (1 << t) - 1
+    dead: set = set()
     order: list = []
-    return order if _extend(0, t, rescue, order, set()) else None
 
-
-def _extend(placed, t, rescue, order, dead) -> bool:
-    # one step of `_subset_search` from the placed set; a module function,
-    # not a closure, so that no call leaves a cycle
-    if placed == (1 << t) - 1:
-        return True
-    if placed in dead:
+    def extend(placed):
+        if placed == full:
+            return True
+        if placed in dead:
+            return False
+        for j in range(t):
+            if not placed >> j & 1 and all(rescue[i][j] & placed for i in order):
+                order.append(j)
+                if extend(placed | 1 << j):
+                    return True
+                order.pop()
+        dead.add(placed)
         return False
-    for j in range(t):
-        if not placed >> j & 1 and all(rescue[i][j] & placed for i in order):
-            order.append(j)
-            if _extend(placed | 1 << j, t, rescue, order, dead):
-                return True
-            order.pop()
-    dead.add(placed)
-    return False
+
+    return order if extend(0) else None
 
 
 def find_shelling(C: PComplex, cap: int = 12, atom_order=None):

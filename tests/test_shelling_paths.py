@@ -209,6 +209,9 @@ class TestVerifier:
             for order in ([3, {0, 1}], [{0, 1}, 3], [[2], 1, [0]]):
                 with pytest.raises(LatticeInputError, match="mix int masks with iterables of vertices"):
                     verify(order)
+            for order in ([True], [1.5], [[0], None]):
+                with pytest.raises(LatticeInputError, match="neither a mask nor a set of vertices"):
+                    verify(order)
 
     def test_duplicate_facet_in_both_verifiers(self):
         for verify in (verify_nonpure_shelling, verify_pure_simplicial_shelling):

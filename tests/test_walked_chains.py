@@ -1,7 +1,6 @@
 """The order complex read off the walked chains, the restriction-set
 verifier's bitset scan and the reverse lexicographic sort by positions,
-against the code they replaced; and the searches that leave no cyclic
-garbage.
+against the code they replaced.
 
 - `order_complex` builds its complex from `PComplex.chain_masks` without
   the public constructor's checks; the constructor, given the same masks,
@@ -14,10 +13,7 @@ garbage.
   chain_oracles.py always sorted by the places.
 """
 
-import gc
 import random
-
-import pytest
 
 from powerlat import (
     PComplex,
@@ -28,14 +24,12 @@ from powerlat import (
     verify_nonpure_shelling,
     verify_pure_simplicial_shelling,
 )
-from powerlat.instances import _bounded_sums
 from powerlat.ordercomplex import (
     _coatom_chains,
     _facet_order_refusal,
     _reduced_betti_work,
     _reverse_lex_chains,
 )
-from powerlat.pcomplex import _subset_search
 
 from chain_oracles import place_map_reverse_lex_chains
 from shelling_oracles import rarest_vertex_verify_nonpure_shelling
@@ -92,11 +86,10 @@ class TestOrderComplexFromTheWalk:
         }
         assert max(lengths) > 1
 
-    def test_facets_read_off_the_paths(self):
+    def test_facets_are_the_walked_paths(self):
         L = build_multiset((2, 1))
         C = PComplex(L, [L.element((2, 0)), L.element((1, 1))])
         sc = order_complex(C)
-        assert sc._paths is not None
         assert sc.facets == tuple(frozenset(path) for _, path in C.chain_masks()[1])
 
 
@@ -183,38 +176,3 @@ class TestReverseLexSort:
                 permuted += atom_order is not None and got != _reverse_lex_chains(C, None, BIG)
         assert permuted > 100
 
-
-# ---------------------------------------------------------------------------
-# no cyclic garbage
-
-
-class TestNoCyclicGarbage:
-    """Run under a disabled collector, each call frees everything it made
-    by reference count, so `gc.collect()` finds nothing."""
-
-    @pytest.fixture
-    def collector_off(self):
-        gc.collect()
-        gc.disable()
-        try:
-            yield
-        finally:
-            gc.enable()
-
-    def test_bounded_sums(self, collector_off):
-        assert list(_bounded_sums((2, 1, 2), 3)) == [
-            (2, 1, 0), (2, 0, 1), (1, 1, 1), (1, 0, 2), (0, 1, 2),
-        ]
-        assert gc.collect() == 0
-
-    def test_subset_search(self, collector_off):
-        every = [[0b111] * 3 for _ in range(3)]
-        assert _subset_search(3, every) == [0, 1, 2]
-        assert gc.collect() == 0
-        # 1 and 2 may each follow 0, but 2 may not follow 1: the search
-        # backtracks from {0, 1}, remembered as dead, to the order 0, 2, 1
-        rescue = [[0, 0b001, 0b001], [0, 0, 0], [0, 0b100, 0]]
-        assert _subset_search(3, rescue) == [0, 2, 1]
-        assert gc.collect() == 0
-        assert _subset_search(3, [[0] * 3 for _ in range(3)]) is None
-        assert gc.collect() == 0
