@@ -10,6 +10,7 @@ lattice axioms until `verify_power_lattice` says so.
 from __future__ import annotations
 
 import itertools
+import operator
 import string
 
 from .lattice import (
@@ -81,8 +82,8 @@ class BooleanLattice(PowerLattice):
         return f"boolean lattice on {self.n} elements"
 
     def _make(self, idxs: frozenset) -> Element:
-        val = tuple(1 if i in idxs else 0 for i in range(self.n))
-        return self._new(idxs, len(idxs), val)
+        el = self._cache.get(idxs)
+        return el or self._new(idxs, len(idxs), [int(i in idxs) for i in range(self.n)])
 
     def _build_level(self, level: int):
         return [self._make(frozenset(c)) for c in itertools.combinations(range(self.n), level)]
@@ -207,19 +208,19 @@ class MultisetLattice(PowerLattice):
         return self._make(t)
 
     def _make(self, t: tuple) -> Element:
-        return self._new(t, sum(t), t)
+        return self._cache.get(t) or self._new(t, sum(t), t)
 
     def _build_level(self, level: int):
         return [self._make(t) for t in _bounded_sums(self.exponents, level)]
 
     def join(self, x, y):
-        return self._make(tuple(max(a, b) for a, b in zip(x.key, y.key)))
+        return self._make(tuple(map(max, x.key, y.key)))
 
     def meet(self, x, y):
-        return self._make(tuple(min(a, b) for a, b in zip(x.key, y.key)))
+        return self._make(tuple(map(min, x.key, y.key)))
 
     def leq(self, x, y):
-        return all(a <= b for a, b in zip(x.key, y.key))
+        return all(map(operator.le, x.key, y.key))
 
     def covers(self, x):
         out = []
@@ -241,8 +242,9 @@ class MultisetLattice(PowerLattice):
             raise LatticeInputError("a power rank must be nonnegative")
         if power_rank > self.exponents[idx]:
             return None
-        t = tuple(power_rank if i == idx else 0 for i in range(len(self.exponents)))
-        return self._make(t)
+        t = [0] * len(self.exponents)
+        t[idx] = power_rank
+        return self._make(tuple(t))
 
     def label(self, x):
         parts = []
@@ -298,7 +300,12 @@ def _rref(rows, q):
 
 
 class SubspaceLattice(PowerLattice):
-    """Subspaces of F_q^n ordered by inclusion, for small prime q."""
+    """Subspaces of F_q^n ordered by inclusion, for small prime q.
+
+    A subspace is fixed by the lines it contains, marked in its valuation.
+    `_make` also indexes each subspace by those marks, and `meet`, whose
+    lines are those both arguments contain, is looked up there first.
+    """
 
     kind = "subspace"
 
@@ -321,6 +328,7 @@ class SubspaceLattice(PowerLattice):
                 lines.append(norm)
         self._lines = tuple(lines)
         self._line_index = index
+        self._by_marks: dict = {}
 
     def _normalize(self, vec):
         lead = next(v for v in vec if v)
@@ -360,7 +368,9 @@ class SubspaceLattice(PowerLattice):
                 sum(c * row[j] for c, row in zip(coeffs, rows)) % q for j in range(self.n)
             )
             marks[self._line_index[self._normalize(vec)]] = 1
-        return self._new(rows, k, tuple(marks))
+        el = self._new(rows, k, marks)
+        self._by_marks[el.valuation] = el
+        return el
 
     def _build_level(self, level: int):
         q, n = self.q, self.n
@@ -389,14 +399,14 @@ class SubspaceLattice(PowerLattice):
 
     def meet(self, x, y):
         # the span of the lines both contain; valuations mark those lines
-        shared = [
-            line for line, a, b in zip(self._lines, x.valuation, y.valuation) if a and b
-        ]
-        return self._make(_rref(shared, self.q)[0])
+        marks = tuple(map(min, x.valuation, y.valuation))
+        return self._by_marks.get(marks) or self._make(
+            _rref([line for line, m in zip(self._lines, marks) if m], self.q)[0]
+        )
 
     def leq(self, x, y):
         # inclusion of subspaces is containment of their line sets
-        return all(a <= b for a, b in zip(x.valuation, y.valuation))
+        return all(map(operator.le, x.valuation, y.valuation))
 
     def atom_power(self, w, power_rank):
         self.atom_index(w)

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
+from itertools import compress, repeat
 
 
 class LatticeError(Exception):
@@ -42,8 +43,10 @@ class Element:
     matrices, names.  Every handle is made by its host's `PowerLattice._new`,
     which interns it per (host, key), so two handles are equal exactly when
     they are the same object: equality and hashing are by identity, and an
-    element of another host is never equal to one of this host.  The
-    valuation vector is stored in the host's atom enumeration order.
+    element of another host is never equal to one of this host.  Interning
+    is cache first (see `_new`); a handle is always true, so `_make` may
+    write `cache.get(key) or self._new(...)`.  The valuation vector is
+    stored in the host's atom enumeration order.
     """
 
     __slots__ = ("host", "key", "rank", "valuation")
@@ -110,6 +113,9 @@ class PowerLattice(ABC):
     # shared machinery
 
     def _new(self, key, rank: int, valuation) -> Element:
+        """The element interned under `key`, made when the key is new.
+        Cache first: a `_make` looks `self._cache` up before it builds a
+        rank or valuation, and join and meet still go through `_make`."""
         el = self._cache.get(key)
         if el is None:
             el = Element(self, key, rank, valuation)
@@ -490,12 +496,20 @@ class _Tables:
                 els.append(x)
             return pos[x]
 
+        def row(results) -> list:
+            # one lookup per result; `at` only when one lies outside
+            results = list(results)
+            found = list(map(pos.get, results))
+            return found if None not in found else [at(z) for z in results]
+
+        leq, join, meet = L.leq, L.join, L.meet
+        bits = [1 << j for j in range(n)]
         up, self.join, self.meet = [], [], []
         for x in inside:
             meter.spend(3 * n)
-            up.append(sum(1 << j for j, y in enumerate(inside) if L.leq(x, y)))
-            self.join.append([at(L.join(x, y)) for y in inside])
-            self.meet.append([at(L.meet(x, y)) for y in inside])
+            up.append(sum(compress(bits, map(leq, repeat(x), inside))))
+            self.join.append(row(map(join, repeat(x), inside)))
+            self.meet.append(row(map(meet, repeat(x), inside)))
         self.L = L
         self.n = n
         self.els = els
