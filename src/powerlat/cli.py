@@ -78,18 +78,17 @@ def _load_json(path: str):
         return json.load(fh)
 
 
-def _lattice_from_value(value, base_dir: str) -> PowerLattice:
-    # a string names a lattice file, relative to the referencing file
+def _referenced(value, path: str):
+    # a string names a JSON file, relative to the referencing file `path`
     if isinstance(value, str):
-        path = value if os.path.isabs(value) else os.path.join(base_dir, value)
-        return lattice_from_obj(_load_json(path))
-    return lattice_from_obj(value)
+        return _load_json(os.path.join(os.path.dirname(path), value))
+    return value
 
 
 def _load_lattice(path: str) -> PowerLattice:
     obj = _load_json(path)
     if isinstance(obj, dict) and "lattice" in obj:
-        return _lattice_from_value(obj["lattice"], os.path.dirname(path))
+        return lattice_from_obj(_referenced(obj["lattice"], path))
     return lattice_from_obj(obj)
 
 
@@ -97,7 +96,7 @@ def _load_pcomplex(path: str) -> PComplex:
     obj = _load_json(path)
     if not isinstance(obj, dict) or "lattice" not in obj or "facets" not in obj:
         raise LatticeInputError("a complex file needs 'lattice' and 'facets'")
-    L = _lattice_from_value(obj["lattice"], os.path.dirname(path))
+    L = lattice_from_obj(_referenced(obj["lattice"], path))
     facets = _sequence(obj["facets"], "the facets")
     return PComplex(L, [L.element_from_obj(f) for f in facets])
 
@@ -105,18 +104,14 @@ def _load_pcomplex(path: str) -> PComplex:
 def _load_matroid(path: str) -> Matroid:
     obj = _load_json(path)
     if isinstance(obj, dict) and "graph" in obj:
-        ref = obj["graph"]
-        if isinstance(ref, str):
-            base = os.path.dirname(path)
-            ref = _load_json(ref if os.path.isabs(ref) else os.path.join(base, ref))
-        return graphic_matroid(graph_from_obj(ref))
+        return graphic_matroid(graph_from_obj(_referenced(obj["graph"], path)))
     if isinstance(obj, dict) and "edges" in obj:
         return graphic_matroid(graph_from_obj(obj))
     if not isinstance(obj, dict) or "lattice" not in obj or "independents" not in obj:
         raise LatticeInputError(
             "a matroid file needs 'lattice' and 'independents', or a graph's 'vertices' and 'edges'"
         )
-    L = _lattice_from_value(obj["lattice"], os.path.dirname(path))
+    L = lattice_from_obj(_referenced(obj["lattice"], path))
     independents = _sequence(obj["independents"], "the independents")
     return Matroid(L, frozenset(L.element_from_obj(x) for x in independents))
 

@@ -104,16 +104,6 @@ class BooleanLattice(PowerLattice):
     def lower_covers(self, x):
         return tuple(self._make(x.key - {i}) for i in sorted(x.key))
 
-    def atom_power(self, w, power_rank):
-        idx = self.atom_index(w)
-        if power_rank < 0:
-            raise LatticeInputError("a power rank must be nonnegative")
-        if power_rank == 0:
-            return self.bottom
-        if power_rank == 1:
-            return self.atoms[idx]
-        return None
-
     def label(self, x):
         return "{" + ",".join(self.labels[i] for i in sorted(x.key)) + "}"
 
@@ -236,10 +226,7 @@ class MultisetLattice(PowerLattice):
                 out.append(self._make(x.key[:i] + (v - 1,) + x.key[i + 1 :]))
         return tuple(out)
 
-    def atom_power(self, w, power_rank):
-        idx = self.atom_index(w)
-        if power_rank < 0:
-            raise LatticeInputError("a power rank must be nonnegative")
+    def _higher_power(self, idx, power_rank):
         if power_rank > self.exponents[idx]:
             return None
         t = [0] * len(self.exponents)
@@ -408,16 +395,6 @@ class SubspaceLattice(PowerLattice):
         # inclusion of subspaces is containment of their line sets
         return all(map(operator.le, x.valuation, y.valuation))
 
-    def atom_power(self, w, power_rank):
-        self.atom_index(w)
-        if power_rank < 0:
-            raise LatticeInputError("a power rank must be nonnegative")
-        if power_rank == 0:
-            return self.bottom
-        if power_rank == 1:
-            return w
-        return None
-
     def label(self, x):
         if not x.key:
             return "<0>"
@@ -461,6 +438,7 @@ class ProductLattice(PowerLattice):
             count *= f.element_count()
         _check_count(count, "product lattice")
         self.factors = factors
+        self._count = count
         self._components: dict = {}
         # atom i of the product is an atom of one factor, bottoms elsewhere
         self._atom_map = []
@@ -473,10 +451,7 @@ class ProductLattice(PowerLattice):
         return sum(f.top_rank for f in self.factors)
 
     def element_count(self) -> int:
-        count = 1
-        for f in self.factors:
-            count *= f.element_count()
-        return count
+        return self._count
 
     def describe(self) -> str:
         return "product of " + ", ".join(f.describe() for f in self.factors)
@@ -517,36 +492,28 @@ class ProductLattice(PowerLattice):
         return all(f.leq(a, b) for f, a, b in zip(self.factors, cx, cy))
 
     def covers(self, x):
-        cx = self.components(x)
-        out = []
-        for i, f in enumerate(self.factors):
-            for c in f.covers(cx[i]):
-                out.append(self._make(cx[:i] + (c,) + cx[i + 1 :]))
-        return tuple(out)
+        return self._steps(x, "covers")
 
     def lower_covers(self, x):
-        cx = self.components(x)
-        out = []
-        for i, f in enumerate(self.factors):
-            for c in f.lower_covers(cx[i]):
-                out.append(self._make(cx[:i] + (c,) + cx[i + 1 :]))
-        return tuple(out)
+        return self._steps(x, "lower_covers")
 
-    def atom_power(self, w, power_rank):
-        idx = self.atom_index(w)
-        if power_rank < 0:
-            raise LatticeInputError("a power rank must be nonnegative")
-        if power_rank == 0:
-            return self.bottom
+    def _steps(self, x, step: str):
+        # x with one component moved by a cover step of its factor, the
+        # factors in order
+        cx = self.components(x)
+        return tuple(
+            self._make(cx[:i] + (c,) + cx[i + 1 :])
+            for i, f in enumerate(self.factors)
+            for c in getattr(f, step)(cx[i])
+        )
+
+    def _higher_power(self, idx, power_rank):
         fi, ai = self._atom_map[idx]
         f = self.factors[fi]
         p = f.atom_power(f.atoms[ai], power_rank)
         if p is None:
             return None
-        comps = tuple(
-            p if i == fi else g.bottom for i, g in enumerate(self.factors)
-        )
-        return self._make(comps)
+        return self._make(tuple(p if i == fi else g.bottom for i, g in enumerate(self.factors)))
 
     def label(self, x):
         cx = self.components(x)
@@ -641,10 +608,17 @@ class HasseLattice(PowerLattice):
         self._index = index
         ranks = index.chain_ranks()
         self._max_rank = max(ranks)
-        vals = index.valuations(ranks, [i for i in range(n) if ranks[i] == 1])
+        atoms = [i for i in range(n) if ranks[i] == 1]
+        powers = index.powers(ranks, atoms)
+        vals = index.valuations(ranks, powers, len(atoms))
         self._els = [self._new(names[i], ranks[i], vals[i]) for i in range(n)]
         self._by_name = {names[i]: self._els[i] for i in range(n)}
         self._name_pos = idx
+        # the first power by name at each (atom, rank); the verifier
+        # reports an atom with two
+        self._power_at = {}
+        for z, k in powers:
+            self._power_at.setdefault((k, ranks[z]), self._els[z])
 
     @property
     def top_rank(self) -> int:
@@ -672,6 +646,9 @@ class HasseLattice(PowerLattice):
 
     def _pos(self, x: Element) -> int:
         return self._name_pos[x.key]
+
+    def _higher_power(self, idx, power_rank):
+        return self._power_at.get((idx, power_rank))
 
     def covers(self, x):
         return tuple(self._els[j] for j in _bits(self._index.upper[self._pos(x)]))

@@ -65,10 +65,12 @@ class PowerLattice(ABC):
     """Finite ranked lattice presented by rank levels plus join and meet.
 
     Subclasses supply the combinatorics.  This base class provides element
-    interning, cover computation against rank levels, atom powers by scan,
-    and the encodings shared with the CLI.  Nothing here assumes the power
-    lattice axioms hold; `verify_power_lattice` is the judge, and instances
-    built from raw user input are routinely fed to it in a broken state.
+    interning, cover computation against rank levels, the one atom-power
+    rule (`atom_power`; a family gives its powers of rank 2 and up in
+    `_higher_power`), and the encodings shared with the CLI.  Nothing here
+    assumes the power lattice axioms hold; `verify_power_lattice` is the
+    judge, and instances built from raw user input are routinely fed to it
+    in a broken state.
     """
 
     kind = "lattice"
@@ -78,7 +80,6 @@ class PowerLattice(ABC):
         self._levels: dict[int, tuple] = {}
         self._atoms = None
         self._atom_pos = None
-        self._powers = None
 
     # interface each instance fills in
 
@@ -96,6 +97,9 @@ class PowerLattice(ABC):
 
     @abstractmethod
     def meet(self, x: Element, y: Element) -> Element: ...
+
+    @abstractmethod
+    def leq(self, x: Element, y: Element) -> bool: ...
 
     @abstractmethod
     def label(self, x: Element) -> str: ...
@@ -168,9 +172,6 @@ class PowerLattice(ABC):
         except KeyError:
             raise LatticeInputError(f"{w.host.label(w)} is not an atom") from None
 
-    def leq(self, x: Element, y: Element) -> bool:
-        return self.meet(x, y) == x
-
     def lt(self, x: Element, y: Element) -> bool:
         return x != y and self.leq(x, y)
 
@@ -187,7 +188,9 @@ class PowerLattice(ABC):
         return tuple(y for y in self.elements_of_rank(x.rank - 1) if self.leq(y, x))
 
     def atom_power(self, w: Element, power_rank: int):
-        """The rank `power_rank` power of atom w, or None when absent."""
+        """The rank `power_rank` power of atom w, or None when absent: the
+        bottom at rank 0, w itself at rank 1, and from rank 2 on the
+        family's `_higher_power`."""
         idx = self.atom_index(w)
         if power_rank < 0:
             raise LatticeInputError("a power rank must be nonnegative")
@@ -195,21 +198,13 @@ class PowerLattice(ABC):
             return self.bottom
         if power_rank == 1:
             return self.atoms[idx]
-        return self._power_table().get((idx, power_rank))
+        return self._higher_power(idx, power_rank)
 
-    def _power_table(self) -> dict:
-        # Generic scan over all elements; instances with closed forms override
-        # atom_power instead of paying for this.
-        if self._powers is None:
-            table = {}
-            for z in self.elements():
-                if z.rank < 2:
-                    continue
-                support = [i for i, v in enumerate(z.valuation) if v > 0]
-                if len(support) == 1:
-                    table.setdefault((support[0], z.rank), z)
-            self._powers = table
-        return self._powers
+    def _higher_power(self, idx: int, power_rank: int):
+        """The power of atom `idx` of a rank from 2 on, or None.  A family
+        with such powers overrides this; Boolean and subspace lattices have
+        none."""
+        return None
 
     def sort_key(self, x: Element):
         """Deterministic total order: rank, then factorization, then label."""
@@ -338,6 +333,16 @@ def atom_power(L: PowerLattice, w: Element, power_rank: int):
 # verification
 
 
+def _with_verdict(obj: dict, witness, detail: str) -> dict:
+    """A report's encoding: `obj`, then the witness when there is one and
+    the detail when it is not empty."""
+    if witness is not None:
+        obj["witness"] = witness
+    if detail:
+        obj["detail"] = detail
+    return obj
+
+
 @dataclass
 class CheckResult:
     name: str
@@ -348,11 +353,7 @@ class CheckResult:
 
     def to_obj(self) -> dict:
         obj = {"name": self.name, "passed": self.passed, "complete": self.complete}
-        if self.witness is not None:
-            obj["witness"] = self.witness
-        if self.detail:
-            obj["detail"] = self.detail
-        return obj
+        return _with_verdict(obj, self.witness, self.detail)
 
 
 @dataclass
@@ -469,11 +470,12 @@ class _OrderIndex:
             if ranks[z] >= 1 and below in which
         ]
 
-    def valuations(self, ranks: list, atoms: list) -> list:
-        """Per position x, per atom w of `atoms`: the largest rank of a
-        power of w below x, zero when there is none."""
-        vals = [[0] * len(atoms) for _ in self.up]
-        for z, k in self.powers(ranks, atoms):
+    def valuations(self, ranks: list, powers: list, count: int) -> list:
+        """Per position x, per atom k of `count` atoms: the largest rank of
+        a power of k below x, zero when there is none.  `powers` is the
+        list `powers` gives."""
+        vals = [[0] * count for _ in self.up]
+        for z, k in powers:
             for x in _bits(self.up[z]):
                 vals[x][k] = max(vals[x][k], ranks[z])
         return [tuple(v) for v in vals]
@@ -517,7 +519,7 @@ class _Tables:
         self.index = _OrderIndex(up)
         atoms = [pos[a] for a in L.atoms]
         self.powers = self.index.powers(self.ranks, atoms)
-        self.vals = self.index.valuations(self.ranks, atoms)
+        self.vals = self.index.valuations(self.ranks, self.powers, len(atoms))
 
     def label(self, i: int) -> str:
         return self.L.label(self.els[i])

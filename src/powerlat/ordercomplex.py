@@ -40,12 +40,15 @@ from collections.abc import Iterable
 from dataclasses import dataclass, field
 from math import gcd
 
+from .instances import _is_int
 from .lattice import (
     BudgetError,
     Element,
     LatticeInputError,
     PowerLattice,
+    _bits,
     _rank_level_key,
+    _with_verdict,
     rank_lex_compare,
 )
 from .pcomplex import PComplex, sphere, verify_shelling
@@ -53,18 +56,6 @@ from .pcomplex import PComplex, sphere, verify_shelling
 
 # ---------------------------------------------------------------------------
 # simplicial complexes
-
-
-def _vertices(mask: int):
-    # the vertex indexes of a face mask, ascending
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
-
-
-def _is_index(v) -> bool:
-    return isinstance(v, int) and not isinstance(v, bool)
 
 
 class SimplicialComplex:
@@ -83,7 +74,7 @@ class SimplicialComplex:
         n = len(labels)
         by_size: dict[int, set] = {}  # the distinct masks, by size
         for f in facets:
-            if _is_index(f):
+            if _is_int(f):
                 if f < 0 or f >> n:
                     raise LatticeInputError(f"facet mask {f!r} is not over the vertex indexes")
                 m = f
@@ -92,7 +83,7 @@ class SimplicialComplex:
             else:
                 m = 0
                 for v in f:
-                    if not _is_index(v) or not 0 <= v < n:
+                    if not _is_int(v) or not 0 <= v < n:
                         raise LatticeInputError(f"facet vertex {v!r} is not a vertex index")
                     m |= 1 << v
             by_size.setdefault(m.bit_count(), set()).add(m)
@@ -118,7 +109,7 @@ class SimplicialComplex:
 
     @property
     def facets(self) -> tuple:
-        return tuple(frozenset(_vertices(m)) for m in self.facet_masks)
+        return tuple(frozenset(_bits(m)) for m in self.facet_masks)
 
     @property
     def dim(self) -> int:
@@ -129,9 +120,9 @@ class SimplicialComplex:
         than `budget`."""
         apex, link = self._link(budget)
         simplex = [0]  # the faces of the simplex on the apex set
-        for v in _vertices(apex):
+        for v in _bits(apex):
             simplex += [s | 1 << v for s in simplex]
-        return {frozenset(_vertices(s | f)) for s in simplex for f in link}
+        return {frozenset(_bits(s | f)) for s in simplex for f in link}
 
     def _apex(self) -> int:
         # A, the vertices on every facet, as a mask
@@ -192,7 +183,7 @@ class SimplicialComplex:
                     if v not in pos:
                         raise LatticeInputError(f"unknown vertex {v!r}")
                     out.append(pos[v])
-                elif _is_index(v) and 0 <= v < len(labels):
+                elif _is_int(v) and 0 <= v < len(labels):
                     out.append(v)
                 else:
                     raise LatticeInputError(f"unknown vertex {v!r}")
@@ -203,7 +194,7 @@ class SimplicialComplex:
         return {
             "vertices": list(self.vertex_labels),
             "facets": [
-                sorted(self.vertex_labels[v] for v in _vertices(m)) for m in self.facet_masks
+                sorted(self.vertex_labels[v] for v in _bits(m)) for m in self.facet_masks
             ],
         }
 
@@ -235,7 +226,7 @@ def _chain_count(below) -> int:
         for g in below[x]:
             d |= down[g] | 1 << g
         down[x] = d
-        topped[x] = 1 + sum(map(topped.__getitem__, _vertices(d)))
+        topped[x] = 1 + sum(map(topped.__getitem__, _bits(d)))
     return 1 + sum(topped)
 
 
@@ -362,12 +353,7 @@ class SimplicialShellingReport:
     detail: str = ""
 
     def to_obj(self) -> dict:
-        obj = {"ok": self.ok}
-        if self.witness is not None:
-            obj["witness"] = self.witness
-        if self.detail:
-            obj["detail"] = self.detail
-        return obj
+        return _with_verdict({"ok": self.ok}, self.witness, self.detail)
 
 
 def _facet_masks(facets) -> list:
@@ -376,7 +362,7 @@ def _facet_masks(facets) -> list:
     facets = list(facets)
     kinds = set()  # True for an int mask, False for an iterable of vertices
     for f in facets:
-        if _is_index(f):
+        if _is_int(f):
             kinds.add(True)
         elif isinstance(f, Iterable):
             kinds.add(False)
@@ -409,7 +395,11 @@ def verify_nonpure_shelling(facets_in_order) -> SimplicialShellingReport:
     Each facet is an int mask or an iterable of vertices, and one order
     does not mix the two.
     """
-    masks = _facet_masks(facets_in_order)
+    return _verify_masks(_facet_masks(facets_in_order))
+
+
+def _verify_masks(masks: list) -> SimplicialShellingReport:
+    # `verify_nonpure_shelling` on facets already made int masks
     if not masks:
         raise LatticeInputError("a shelling needs at least one facet")
     if len(set(masks)) != len(masks):
@@ -468,7 +458,7 @@ def verify_pure_simplicial_shelling(facets_in_order) -> SimplicialShellingReport
     masks = _facet_masks(facets_in_order)
     if len({m.bit_count() for m in masks}) > 1:
         raise LatticeInputError("the pure shelling condition needs equal-size facets")
-    return verify_nonpure_shelling(masks)
+    return _verify_masks(masks)
 
 
 @dataclass
@@ -491,12 +481,7 @@ class OrderShellingReport:
         return tuple(tuple(map(element, path)) for path in self._paths)
 
     def to_obj(self) -> dict:
-        obj = {"ok": self.ok, "chains": self.chains}
-        if self.witness is not None:
-            obj["witness"] = self.witness
-        if self.detail:
-            obj["detail"] = self.detail
-        return obj
+        return _with_verdict({"ok": self.ok, "chains": self.chains}, self.witness, self.detail)
 
 
 def _order_report(C: PComplex, chains, budget) -> OrderShellingReport:
@@ -716,7 +701,7 @@ def _reduced_betti_work(sc: SimplicialComplex, budget: int, mod2: bool = False):
         return (), work
     levels: dict[int, list] = {}  # the relative faces by dimension
     if not apex:
-        on = Counter(v for m in sc.facet_masks for v in _vertices(m))
+        on = Counter(v for m in sc.facet_masks for v in _bits(m))
         star = 1 << min(on, key=lambda v: (-on[v], v))
         for f in link:
             if f | star not in link:

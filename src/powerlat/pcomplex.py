@@ -21,6 +21,7 @@ from .lattice import (
     LatticeInputError,
     PowerLattice,
     _rank_level_key,
+    _with_verdict,
 )
 
 
@@ -51,6 +52,7 @@ class PComplex:
         self.lattice = L
         self.facets = tuple(maximal)
         self._faces = None
+        self._lower = None
         self._below = None
         self._chains = None
 
@@ -72,16 +74,19 @@ class PComplex:
             seen = set(self.facets)
             if len(seen) > budget:
                 raise BudgetError(f"complex has more than {budget} faces")
+            lower = {}  # each face's lower covers, kept for `_covers`
             stack = list(self.facets)
             while stack:
                 x = stack.pop()
-                for y in L.lower_covers(x):
+                lower[x] = L.lower_covers(x)
+                for y in lower[x]:
                     if y not in seen:
                         if len(seen) >= budget:
                             raise BudgetError(f"complex has more than {budget} faces")
                         seen.add(y)
                         stack.append(y)
             self._faces = tuple(sorted(seen, key=L.sort_key))
+            self._lower = lower
         elif len(self._faces) > budget:
             raise BudgetError(f"complex has more than {budget} faces")
         return self._faces
@@ -121,14 +126,15 @@ class PComplex:
         return self._chains
 
     def _covers(self) -> tuple:
-        # (below, the number of maximal chains), once the faces are listed.
+        # (below, the number of maximal chains), once the faces are listed,
+        # from the lower covers their walk asked the host for.
         # Positions follow `sort_key`, which is rank-first, so the lower
         # covers of a face come before it: the maximal chains of [0, x]
         # number 1 at the bottom and otherwise the sum over x's lower
         # covers, and the maximal chains of the complex end at its facets.
         if self._below is None:
             index = {f: p for p, f in enumerate(self._faces)}
-            below = [[index[g] for g in self.lattice.lower_covers(f)] for f in self._faces]
+            below = [[index[g] for g in self._lower[f]] for f in self._faces]
             through = [1]
             for gs in below[1:]:
                 through.append(sum(map(through.__getitem__, gs)))
@@ -162,11 +168,7 @@ class ShellingReport:
             "ok": self.ok,
             "order": [L.label(f) for f in self.order] if L else [],
         }
-        if self.witness is not None:
-            obj["witness"] = self.witness
-        if self.detail:
-            obj["detail"] = self.detail
-        return obj
+        return _with_verdict(obj, self.witness, self.detail)
 
 
 def _meet_memo(L: PowerLattice, facets):

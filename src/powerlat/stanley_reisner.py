@@ -31,7 +31,7 @@ import operator
 from dataclasses import dataclass
 
 from .instances import MultisetLattice, _is_int, _sequence
-from .lattice import BudgetError, Element, LatticeError, LatticeInputError
+from .lattice import BudgetError, Element, LatticeError, LatticeInputError, _with_verdict
 from .ordercomplex import SimplicialComplex, verify_nonpure_shelling
 from .pcomplex import PComplex, _subset_search, find_shelling, verify_shelling
 
@@ -589,11 +589,7 @@ class PolarizedShellingReport:
             "order": [sorted(polar_label(v) for v in f) for f in self.order],
             "multicomplex_order": [monomial_label(f) for f in self.multicomplex_order],
         }
-        if self.witness is not None:
-            obj["witness"] = self.witness
-        if self.detail:
-            obj["detail"] = self.detail
-        return obj
+        return _with_verdict(obj, self.witness, self.detail)
 
 
 def _shelling_order_for(delta: Multicomplex, order):

@@ -26,7 +26,8 @@ with them.
 """
 
 from powerlat import BudgetError, LatticeInputError, SimplicialShellingReport
-from powerlat.ordercomplex import _is_index, _vertices
+from powerlat.instances import _is_int
+from powerlat.lattice import _bits
 from powerlat.pcomplex import sort_by_rank_lex
 
 
@@ -228,7 +229,7 @@ def frozenset_verify_pure_simplicial_shelling(facets_in_order):
 
 def _rarest_vertex_facet_masks(facets):
     facets = list(facets)
-    if all(_is_index(f) for f in facets):
+    if all(_is_int(f) for f in facets):
         return facets
     bit: dict = {}
     return [sum({bit.setdefault(v, 1 << len(bit)) for v in f}) for f in facets]
@@ -266,7 +267,7 @@ def rarest_vertex_verify_nonpure_shelling(facets_in_order):
                     "facet meets no earlier facet in a face of size one less",
                 )
             if restriction.bit_count() < card or larger:
-                on = [through.get(1 << v, ()) for v in _vertices(restriction)]
+                on = [through.get(1 << v, ()) for v in _bits(restriction)]
                 for i in min(on, key=len):
                     if masks[i] & restriction == restriction:
                         return SimplicialShellingReport(

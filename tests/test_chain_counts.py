@@ -33,7 +33,8 @@ from powerlat import (
     uniform_matroid,
 )
 from powerlat import stanley_reisner as sr
-from powerlat.ordercomplex import _reduced_betti_work, _vertices
+from powerlat.lattice import _bits
+from powerlat.ordercomplex import _reduced_betti_work
 
 from test_acceptance import HAND_MULTICOMPLEXES
 from test_graphic import graph_of
@@ -154,7 +155,7 @@ class TestMaximalChains:
 
 def old_facet_key(m):
     # the facet sort key before it was read off the mask
-    return (m.bit_count(), tuple(_vertices(m)))
+    return (m.bit_count(), tuple(_bits(m)))
 
 
 def criterion_9_deltas():

@@ -33,7 +33,8 @@ from powerlat import (
     verify_pure_simplicial_shelling,
 )
 from powerlat import stanley_reisner as sr
-from powerlat.ordercomplex import _coatom_chains, _facet_order_refusal, _reverse_lex_chains, _vertices
+from powerlat.lattice import _bits
+from powerlat.ordercomplex import _coatom_chains, _facet_order_refusal, _reverse_lex_chains
 
 from chain_oracles import (
     element_complex_order_shelling,
@@ -210,7 +211,7 @@ class TestRefusals:
 
 
 def as_sets(masks):
-    return [frozenset(_vertices(m)) for m in masks]
+    return [frozenset(_bits(m)) for m in masks]
 
 
 def verdict(rep):
