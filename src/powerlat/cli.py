@@ -50,7 +50,7 @@ from .matroid import (
 )
 from .ordercomplex import (
     SimplicialComplex,
-    _order_report,
+    _prescribed_report,
     _reduced_betti_work,
     _reverse_lex_chains,
     order_complex,
@@ -274,7 +274,7 @@ def _cmd_complex(args):
             sc = order_complex(C, budget=args.budget)
             report["reduced_betti"] = list(reduced_betti(sc, budget=args.budget))
         if args.sphere_check:
-            rep = _order_report(C, chains, args.budget)
+            rep = _prescribed_report(C, atom_order, args.budget)
             report["shelling_check"] = rep.to_obj()
             code = 0 if rep.ok else 1
         return code, report

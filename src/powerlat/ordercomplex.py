@@ -4,39 +4,60 @@ The order complex of a complex S is the simplicial complex of chains in S;
 its facets are the maximal chains.  They are counted on the face poset,
 then walked once per complex (`PComplex.chain_masks`), as int masks over
 the positions of `S.faces()`, the vertex indexes of `order_complex`, which
-takes the walked chains as its facets with no second check; each chain
-order below is one sort of that list.  The faces of the order complex, the
-chains of S, are counted on the poset too, so the homology of a cone lists
-none of them.  One total order on maximal chains is provided, under two
-names: the reverse lexicographic order (`compare_reverse_lex`), which
-compares position by position from the top in the rank level order, is
-also the prescribed shelling order (`compare_shelling_order`), since
-comparing the tops first and then the truncated chains is the same
-comparison.  The prescribed order is not always a shelling, even when the
-facet order is (``test_private_atom_before_shared_fails`` pins the
-smallest counterexample); `complex_order_shelling` lists the chains by a
-recursive coatom ordering instead, which does shell them.  One
+takes the walked chains as its facets with no second check.  The faces of
+the order complex, the chains of S, are counted on the poset too, so the
+homology of a cone lists none of them.  One total order on maximal chains
+is provided, under two names: the reverse lexicographic order
+(`compare_reverse_lex`), which compares position by position from the top
+in the rank level order, is also the prescribed shelling order
+(`compare_shelling_order`), since comparing the tops first and then the
+truncated chains is the same comparison.  The prescribed order is not
+always a shelling, even when the facet order is
+(``test_private_atom_before_shared_fails`` pins the smallest
+counterexample); `complex_order_shelling` lists the chains by a recursive
+coatom ordering instead, which does shell them.
+
+The prescribed order is decided on the cover graph, with no chain walked.
+For c = (0 = c_0 < c_1 < ... < c_r), restriction sets as in Bjorner and
+Wachs ("Shellable nonpure complexes and posets I", 1996) are local: a
+chain holding c - c_i differs from c only at rank i, so c_i is in R(c)
+exactly when it is not the earliest, in the rank level order, of the
+lower covers of c_{i+1} (of the facets, when i = r) above c_{i-1}.  The
+order fails at c exactly when the earliest chain through R(c) and the
+bottom, built greedily from the top, is not c: when at some level i
+outside R(c) an earlier lower cover of c_{i+1} (an earlier facet, when
+i = r) lies above s_i, the highest element of R(c) + {0} below rank i.
+Both tests read only (c_{i-1}, c_i, c_{i+1}, s_i), so one pass up the
+cover graph over the states (c_{i-1}, c_i, s_i) gives the verdict, and a
+descent from the top through the states that reach a failing step gives
+the first failing chain; a chain's index sums the maximal-chain counts of
+[0, y] over the earlier siblings y of its elements.  The report's `order`
+walks and sorts the chains when it is first read.  The chains of
+`complex_order_shelling`, and of the prescribed order where two faces
+share a rank level key, are walked, sorted and verified by one
 restriction-set verifier on int masks, `verify_nonpure_shelling`, with one
-bitset of earlier facets per vertex, checks simplicial shellings with
-facets of any sizes; `verify_pure_simplicial_shelling` first refuses
-unequal sizes.  Reduced homology is computed over the rationals by exact
-integer elimination, with a mod 2 variant for cross checks, on faces
-stored as int bitmasks over the vertex indexes.  A complex whose facets
-share the vertex set A is the join of the simplex on A with the link of A,
-so it has 2^|A| times as many faces as the link and, when A is not empty,
-no reduced homology: its faces are counted against the face budget, from
-the poset for an order complex and otherwise by walking the link.  When A
-is empty only the faces outside the closed star of the vertex on the most
-facets are eliminated: the star is a cone, hence contractible, so the
-homology relative to it is the reduced homology of the complex (the long
-exact sequence of the pair; Hatcher, *Algebraic Topology*, section 2.1).
-An order complex that keeps the bottom is a cone over it.
+bitset of earlier facets per vertex, which checks simplicial shellings
+with facets of any sizes; `verify_pure_simplicial_shelling` first refuses
+unequal sizes.
+
+Reduced homology is computed over the rationals by exact integer
+elimination, with a mod 2 variant for cross checks, on faces stored as int
+bitmasks over the vertex indexes.  A complex whose facets share the vertex
+set A is the join of the simplex on A with the link of A, so it has 2^|A|
+times as many faces as the link and, when A is not empty, no reduced
+homology: its faces are counted against the face budget, from the poset
+for an order complex and otherwise by walking the link.  When A is empty
+only the faces outside the closed star of the vertex on the most facets
+are eliminated: the star is a cone, hence contractible, so the homology
+relative to it is the reduced homology of the complex (the long exact
+sequence of the pair; Hatcher, *Algebraic Topology*, section 2.1).  An
+order complex that keeps the bottom is a cone over it.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from collections.abc import Iterable
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field
 from math import gcd
 
@@ -100,15 +121,19 @@ class SimplicialComplex:
         maximal.sort(key=lambda m: (m.bit_count(), bin(m ^ full)[:1:-1]))
         self._set(labels, tuple(maximal))
 
-    def _set(self, labels, masks, face_count=None):
+    def _set(self, labels, masks, face_count=None, paths=None):
         # `face_count`, where given, is the number of faces counted without
-        # a walk
+        # a walk; `paths`, where given, lists each facet's vertexes in
+        # increasing order, as `order_complex` walked them
         self.vertex_labels = labels
         self.facet_masks = masks
         self._face_count = face_count
+        self._paths = paths
 
     @property
     def facets(self) -> tuple:
+        if self._paths is not None:
+            return tuple(map(frozenset, self._paths))
         return tuple(frozenset(_bits(m)) for m in self.facet_masks)
 
     @property
@@ -213,20 +238,14 @@ def maximal_chains(C: PComplex, include_bottom: bool = True, budget: int = 10_00
     return [tuple(map(element, path[skip:])) for _, path in chains]
 
 
-def _chain_count(below) -> int:
+def _chain_count(down) -> int:
     # the chains of the face poset minus its bottom (position 0), the empty
-    # chain included.  Positions follow a linear extension, so the strict
-    # down-set of x, an int mask over positions, is the union of its lower
-    # covers' down-sets and the covers themselves; the chains with top x
-    # number 1 plus those with top y, summed over the y below x.
-    down = [0] * len(below)
-    topped = [0] * len(below)  # 0 at the bottom, which is left out
-    for x in range(1, len(below)):
-        d = 0
-        for g in below[x]:
-            d |= down[g] | 1 << g
-        down[x] = d
-        topped[x] = 1 + sum(map(topped.__getitem__, _bits(d)))
+    # chain included, from the strict down-sets of `PComplex._poset`: the
+    # chains with top x number 1 plus those with top y, summed over the y
+    # below x.
+    topped = [0] * len(down)  # 0 at the bottom, which is left out
+    for x in range(1, len(down)):
+        topped[x] = 1 + sum(map(topped.__getitem__, _bits(down[x])))
     return 1 + sum(topped)
 
 
@@ -239,18 +258,22 @@ def order_complex(
     section 3.8), so their number is counted on the poset and kept for the
     face budget of `_reduced_betti_work`; keeping the bottom doubles it.
     The walked chains are distinct, maximal and in the lexicographic order
-    of their positions: stably sorted by length, they are its facets.
+    of their positions: stably sorted by length, they are its facets, and
+    their walked paths are kept for the `facets` view.
     """
-    below, chains = C.chain_masks(budget)
+    _, chains = C.chain_masks(budget)
     labels = tuple(map(C.lattice.label, C.faces(budget)))
     masks = sorted((m for m, _ in chains), key=int.bit_count)
-    faces = _chain_count(below)
+    paths = sorted((path for _, path in chains), key=len)  # the same stable sort
+    faces = _chain_count(C._poset()[2])
     if include_bottom:
         faces <<= 1
     else:
-        labels, masks = labels[1:], [m >> 1 for m in masks]
+        labels = labels[1:]
+        masks = [m >> 1 for m in masks]
+        paths = [tuple(p - 1 for p in path[1:]) for path in paths]
     sc = SimplicialComplex.__new__(SimplicialComplex)
-    sc._set(labels, tuple(masks), faces)
+    sc._set(labels, tuple(masks), faces, paths)
     return sc
 
 
@@ -465,20 +488,21 @@ def verify_pure_simplicial_shelling(facets_in_order) -> SimplicialShellingReport
 class OrderShellingReport:
     """Verdict on a chain order; `order` holds the chains in the order
     checked, bottom upward, and is left out of `to_obj`.  It is built when
-    read, from each chain's positions in `_paths` and the faces at those
-    positions, `_faces`."""
+    read, from the positions of each chain that `_paths()` returns and the
+    faces at those positions, `_faces`; for the prescribed order that is
+    when the chains are first walked and sorted."""
 
     ok: bool
     chains: int
     witness: dict | None = None
     detail: str = ""
-    _paths: tuple = field(default=(), repr=False)
+    _paths: Callable = field(default=tuple, repr=False, compare=False)
     _faces: tuple = field(default=(), repr=False)
 
     @property
     def order(self) -> tuple:
         element = self._faces.__getitem__
-        return tuple(tuple(map(element, path)) for path in self._paths)
+        return tuple(tuple(map(element, path)) for path in self._paths())
 
     def to_obj(self) -> dict:
         return _with_verdict({"ok": self.ok, "chains": self.chains}, self.witness, self.detail)
@@ -496,16 +520,159 @@ def _order_report(C: PComplex, chains, budget) -> OrderShellingReport:
         witness = dict(witness)
         witness["chain_i"] = [label(faces[p]) for p in paths[witness["i"]]]
         witness["chain_j"] = [label(faces[p]) for p in paths[witness["j"]]]
-    return OrderShellingReport(rep.ok, len(chains), witness, rep.detail, paths, faces)
+    return OrderShellingReport(rep.ok, len(chains), witness, rep.detail, lambda: paths, faces)
+
+
+def _prescribed_report(C: PComplex, atom_order, budget) -> OrderShellingReport:
+    # The prescribed order decided on the cover graph of C (module
+    # docstring), after the face, chain-count and equal-length refusals of
+    # the walk.  Position n is a top adjoined above the facets.  kids[z]
+    # lists the lower covers of z in the rank-level order, and ups[y] the
+    # pairs (z, e) for the z covering y, e being the union of the strict
+    # down-sets of the kids of z before y: an earlier sibling of y lies
+    # above t exactly when e has bit t.  states[x] maps each state
+    # (c_{i-1}, s_i) of the chains with c_i = x to whether some chain
+    # reaches it through a failing step.
+    count = C._maximal_chain_count(budget)
+    faces = C.faces(budget)
+    below, through, down, tops = C._poset()
+    n = len(faces)
+    height = [0] * n
+    for x in range(1, n):
+        h = height[below[x][0]]
+        if any(height[g] != h for g in below[x]):
+            raise LatticeInputError("chains must have equal length")
+        height[x] = h + 1
+    if len({height[x] for x in tops}) > 1:
+        raise LatticeInputError("chains must have equal length")
+    # the rank-level key is one to one on (rank, valuation), and the faces
+    # come sorted by it, ties broken by label (`sort_key`)
+    identity = list(range(n))
+    if atom_order is None:
+        ranked = identity
+        tied = any(x.rank == y.rank and x.valuation == y.valuation for x, y in zip(faces, faces[1:]))
+    else:
+        key = _rank_level_key(C.lattice, atom_order)
+        keys = [key(f) for f in faces]
+        ranked = sorted(identity, key=keys.__getitem__)
+        tied = any(keys[a] == keys[b] for a, b in zip(ranked, ranked[1:]))
+    if tied:
+        # chains with tied keys keep their walk order, which is not local
+        return _order_report(C, _reverse_lex_chains(C, atom_order, budget), budget)
+    place = [0] * n
+    for i, x in enumerate(ranked):
+        place[x] = i
+    by_place = None if ranked == identity else place.__getitem__
+    kids = [sorted(gs, key=by_place) for gs in below]
+    kids.append(sorted(tops, key=by_place))
+    ups = [[] for _ in range(n)]
+    for z, gs in enumerate(kids):
+        e = 0
+        for y in gs:
+            ups[y].append((z, e))
+            e |= down[y]
+
+    states = [{} for _ in range(n + 1)]
+    for a, _ in ups[0]:
+        states[a][0, 0] = False
+    failed = False
+    for x in range(1, n):
+        here = states[x]
+        for z, e in ups[x]:
+            there = states[z]
+            for (p, s), f in here.items():
+                if e >> p & 1:  # x is in R: s moves up to x
+                    k = (x, x)
+                else:
+                    k = (x, s)
+                    if e >> s & 1:  # an earlier sibling lies above s
+                        f = failed = True
+                if not there.get(k):
+                    there[k] = f
+
+    def walk():
+        return tuple(path for _, path in _reverse_lex_chains(C, atom_order, budget))
+
+    if not failed:
+        return OrderShellingReport(True, count, None, "", walk, faces)
+    chain = _first_failing_chain(states, ups, place, n)
+    # R(c) level by level, then the earliest chain through R(c) and the
+    # bottom, greedily from the top
+    r = len(chain) - 2
+    restricted = [dict(ups[chain[k]])[chain[k + 1]] >> chain[k - 1] & 1 for k in range(1, r + 1)]
+    lows, low = [], 0  # lows[k - 1]: the highest element of R(c) + {0} below level k
+    for k in range(1, r + 1):
+        lows.append(low)
+        if restricted[k - 1]:
+            low = chain[k]
+    first = [n]
+    for k in range(r, 0, -1):
+        if restricted[k - 1]:
+            first.append(chain[k])
+        else:
+            first.append(next(y for y in kids[first[-1]] if down[y] >> lows[k - 1] & 1))
+    first.append(0)
+    first.reverse()
+
+    def index(c):
+        # the chains before c: those through an earlier sibling of some c_k
+        # that agree with c above it
+        return sum(
+            through[y] for k in range(1, r + 1) for y in kids[c[k + 1]][: kids[c[k + 1]].index(c[k])]
+        )
+
+    label = C.lattice.label
+    witness = {
+        "i": index(first),
+        "j": index(chain),
+        "chain_i": [label(faces[p]) for p in first[:-1]],
+        "chain_j": [label(faces[p]) for p in chain[:-1]],
+    }
+    if any(restricted):
+        detail = "no earlier facet covers the intersection with facet i"
+    else:
+        detail = "facet meets no earlier facet in a face of size one less"
+    return OrderShellingReport(False, count, witness, detail, walk, faces)
+
+
+def _first_failing_chain(states, ups, place, n) -> list:
+    # The first failing chain of `_prescribed_report`, positions from the
+    # bottom up to the adjoined top n, found from the top down.  `cand`
+    # maps the states (c_{i-1}, s_i) of the chains through the part chosen
+    # so far to whether that part holds a failing step; a state is kept
+    # when a failing chain runs through it, by a failing step above it or
+    # below it (`states`), and the least c_{i-1} by place is taken.
+    chain, x = [n], n
+    cand = {k: False for k, f in states[n].items() if f}
+    while True:
+        p = min({q for q, _ in cand}, key=place.__getitem__)
+        chain.append(p)
+        if not p:
+            return chain[::-1]
+        mine = {s: above for (q, s), above in cand.items() if q == p}
+        e = dict(ups[p])[x]
+        cand = {}
+        for (q, t), f in states[p].items():
+            if e >> q & 1:
+                s, step = p, False
+            else:
+                s, step = t, e >> t & 1 == 1
+            above = mine.get(s)
+            if above is not None and (above or step or f):
+                cand[q, t] = above or step
+        x = p
 
 
 def sphere_order_shelling_check(
     L: PowerLattice, x: Element, atom_order=None, budget: int = 10_000
 ) -> OrderShellingReport:
-    """Sort the maximal chains of the sphere below x reverse
-    lexicographically and check that this order shells its order complex."""
-    S = sphere(L, x)
-    return _order_report(S, _reverse_lex_chains(S, atom_order, budget), budget)
+    """Check that the reverse lexicographic order of the maximal chains of
+    the sphere below x shells its order complex.
+
+    Decided on the cover graph of the sphere, from its local restriction
+    sets (module docstring); the report's `order` walks and sorts the
+    chains when it is first read."""
+    return _prescribed_report(sphere(L, x), atom_order, budget)
 
 
 def _facet_order_refusal(C: PComplex, atom_order):
@@ -527,9 +694,17 @@ def _facet_order_refusal(C: PComplex, atom_order):
 def complex_order_shelling_check(
     C: PComplex, atom_order=None, budget: int = 10_000
 ) -> OrderShellingReport:
-    """For a complex whose rank-level facet order is a shelling, sort the
-    maximal chains by the shelling order and check that this shells the
-    order complex.  The hypothesis on the facet order is checked first.
+    """For a complex whose rank-level facet order is a shelling, check that
+    the prescribed (reverse lexicographic) order of the maximal chains
+    shells the order complex.  The hypothesis on the facet order is checked
+    first, then the face and chain budgets and the equal chain lengths.
+
+    The verdict is decided on the cover graph, with no chain walked: each
+    chain's restriction set is local, the order fails at a chain exactly
+    when the earliest chain through its restriction set is another one,
+    and one pass over the states (c_{i-1}, c_i, s_i) finds whether some
+    chain fails, and which is first (module docstring).  The report's
+    `order` walks and sorts the chains when it is first read.
 
     The prescribed order is not always a shelling: facets {a,c} and {b,c}
     in the Boolean lattice on three atoms are the smallest counterexample
@@ -539,7 +714,7 @@ def complex_order_shelling_check(
     refusal, _ = _facet_order_refusal(C, atom_order)
     if refusal is not None:
         return refusal
-    return _order_report(C, _reverse_lex_chains(C, atom_order, budget), budget)
+    return _prescribed_report(C, atom_order, budget)
 
 
 def complex_order_shelling(

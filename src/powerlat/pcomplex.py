@@ -4,11 +4,13 @@ A complex is a downward closed subset of a lattice, stored by its facets
 (the maximal elements).  This module covers purity, the shelling condition
 on facet orders, and the sphere below an element.  A complex keeps its
 faces, their lower covers with the number of maximal chains, counted
-before any chain is walked, and the maximal chains once they are walked
-(`faces`, `chain_masks`); the order complexes of `ordercomplex` read them
-from there.  `find_shelling` decides shellability of a small complex
-exactly, by a depth-first search over the sets of facets already placed;
-the non-pure search of `stanley_reisner` runs on the same search.
+before any chain is walked, the strict down-sets of its faces once they
+are asked for, and the maximal chains once they are walked (`faces`,
+`_poset`, `chain_masks`); the order complexes and chain orders of
+`ordercomplex` read them from there.  `find_shelling` decides
+shellability of a small complex exactly, by a depth-first search over the
+sets of facets already placed; the non-pure search of `stanley_reisner`
+runs on the same search.
 """
 
 from __future__ import annotations
@@ -54,6 +56,9 @@ class PComplex:
         self._faces = None
         self._lower = None
         self._below = None
+        self._through = None
+        self._tops = None
+        self._down = None
         self._chains = None
 
     @property
@@ -102,14 +107,12 @@ class PComplex:
         facets and lists the chains in the lexicographic order of their
         `sort_key`s.  The face budget is checked first, then the chain
         budget, against the maximal chains counted before any is walked
-        (`_covers`).  Walked once and kept.
+        (`_maximal_chain_count`).  Walked once and kept.
         """
-        faces = self.faces(budget)
-        below, count = self._covers()
-        if count > budget:
-            raise BudgetError(f"complex has more than {budget} maximal chains")
+        self._maximal_chain_count(budget)
         if self._chains is None:
-            above = [[] for _ in faces]
+            below, _ = self._covers()
+            above = [[] for _ in below]
             for p, gs in enumerate(below):
                 for g in gs:
                     above[g].append(p)
@@ -125,6 +128,15 @@ class PComplex:
             self._chains = (below, tuple(chains))
         return self._chains
 
+    def _maximal_chain_count(self, budget) -> int:
+        # the number of maximal chains, counted before any is walked, once
+        # the face budget and then the chain budget are checked
+        self.faces(budget)
+        _, count = self._covers()
+        if count > budget:
+            raise BudgetError(f"complex has more than {budget} maximal chains")
+        return count
+
     def _covers(self) -> tuple:
         # (below, the number of maximal chains), once the faces are listed,
         # from the lower covers their walk asked the host for.
@@ -138,8 +150,27 @@ class PComplex:
             through = [1]
             for gs in below[1:]:
                 through.append(sum(map(through.__getitem__, gs)))
-            self._below = (below, sum(through[index[f]] for f in self.facets))
+            tops = [index[f] for f in self.facets]
+            self._below = (below, sum(map(through.__getitem__, tops)))
+            self._through, self._tops = through, tops
         return self._below
+
+    def _poset(self) -> tuple:
+        # (below, through, down, tops) over the positions of the listed
+        # faces: the lower covers, the maximal chains of [0, x], the strict
+        # down-set of x as an int mask over positions (the union of its
+        # lower covers' down-sets and the covers themselves), and the
+        # facets' positions.  Built once, after `_covers`.
+        below, _ = self._covers()
+        if self._down is None:
+            down = [0] * len(below)
+            for x in range(1, len(below)):
+                d = 0
+                for g in below[x]:
+                    d |= down[g] | 1 << g
+                down[x] = d
+            self._down = down
+        return below, self._through, self._down, self._tops
 
     def to_obj(self) -> dict:
         return {"facets": [self.lattice.element_to_obj(f) for f in self.facets]}

@@ -1,6 +1,7 @@
 """The chains walked once as int masks, and the mask verifier, against the
 Element-tuple walk and the frozenset verifier they replaced
-(chain_oracles.py, shelling_oracles.py).
+(chain_oracles.py, shelling_oracles.py); and the prescribed order decided
+on the cover graph against the walked check it replaced.
 
 Every complex is compared under the identity and the reversed atom order:
 chains and their order, verdicts, witnesses (`chain_i` and `chain_j`
@@ -27,6 +28,7 @@ from powerlat import (
     multicomplex_from_pcomplex,
     order_complex,
     polarized_shelling,
+    sphere,
     sphere_order_shelling_check,
     uniform_matroid,
     verify_nonpure_shelling,
@@ -34,7 +36,12 @@ from powerlat import (
 )
 from powerlat import stanley_reisner as sr
 from powerlat.lattice import _bits
-from powerlat.ordercomplex import _coatom_chains, _facet_order_refusal, _reverse_lex_chains
+from powerlat.ordercomplex import (
+    _coatom_chains,
+    _facet_order_refusal,
+    _order_report,
+    _reverse_lex_chains,
+)
 
 from chain_oracles import (
     element_complex_order_shelling,
@@ -48,8 +55,9 @@ from shelling_oracles import (
     frozenset_verify_pure_simplicial_shelling,
 )
 from test_acceptance import HAND_MULTICOMPLEXES
-from test_graphic import graph_of
+from test_graphic import graph_classes, graph_of
 from test_homology_paths import small_graph_classes
+from test_lattice import q8_lattice
 from test_ordercomplex import small_order_complexes
 
 
@@ -142,6 +150,74 @@ class TestAgainstTheElementWalk:
                 old = element_complex_order_shelling_check(fresh(C))
                 assert rep.witness == old.witness and "chain_i" in rep.witness, tag
         assert failures > 0
+
+
+def walked_order_check(C, atom_order=None, budget=10_000):
+    # the prescribed order as it was checked before the state pass: every
+    # chain walked, sorted reverse lexicographically and verified as a
+    # simplicial shelling
+    return _order_report(C, _reverse_lex_chains(C, atom_order, budget), budget)
+
+
+def walked_complex_check(C, atom_order=None, budget=10_000):
+    refusal, _ = _facet_order_refusal(C, atom_order)
+    if refusal is not None:
+        return refusal
+    return walked_order_check(C, atom_order, budget)
+
+
+class TestStatePassAgainstTheWalk:
+    """`complex_order_shelling_check` and `sphere_order_shelling_check`
+    decide the prescribed order on the cover graph; the walked check is
+    their oracle, `order` included."""
+
+    def test_graph_classes_with_at_most_four_edges(self):
+        details = set()
+        for spec in graph_classes():
+            if len(spec) > 4:
+                continue
+            C = independence_complex(graphic_matroid(graph_of(spec)))
+            for atom_order in atom_orders(C):
+                want = outcome(walked_complex_check, fresh(C), atom_order)
+                assert outcome(complex_order_shelling_check, fresh(C), atom_order) == want, (spec, atom_order)
+                details.add(want[3])
+        assert details == {
+            "",
+            "facet meets no earlier facet in a face of size one less",
+            "no earlier facet covers the intersection with facet i",
+        }
+
+    def test_corpus_sphere_intervals(self, corpus):
+        for tag, L, x in sphere_complexes(corpus):
+            for atom_order in atom_orders(sphere(L, x)):
+                want = outcome(walked_order_check, sphere(L, x), atom_order)
+                assert outcome(sphere_order_shelling_check, L, x, atom_order) == want, (tag, atom_order)
+
+    def test_tied_rank_level_keys(self):
+        # Q8's three rank-2 powers of its one atom share a key, and chains
+        # through them keep their walk order
+        L = q8_lattice()
+        C = PComplex(L, [L.top])
+        complex_order_shelling_check(C)
+        assert C._chains is not None  # walked: ties are left to the walk order
+        assert outcome(complex_order_shelling_check, C) == outcome(walked_complex_check, fresh(C))
+        assert len(complex_order_shelling_check(C).order) == 3
+
+    def test_chains_walked_when_order_is_read(self):
+        L = build_multiset((2, 2, 1))
+        B = build_boolean(3)
+        complexes = [independence_complex(uniform_matroid(L, k)) for k in (1, 2, 3)]
+        # the smallest complex the prescribed order fails on
+        # (test_private_atom_before_shared_fails)
+        complexes.append(PComplex(B, [B.element_from_obj(["a", "c"]), B.element_from_obj(["b", "c"])]))
+        verdicts = set()
+        for C in complexes:
+            rep = complex_order_shelling_check(C)
+            assert C._chains is None, C.facets
+            assert rep.order == walked_complex_check(fresh(C)).order, C.facets
+            assert C._chains is not None, C.facets
+            verdicts.add(rep.ok)
+        assert verdicts == {True, False}
 
 
 def budget_cases():

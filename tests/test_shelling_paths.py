@@ -22,6 +22,7 @@ from powerlat import (
     build_boolean,
     build_multiset,
     build_subspace,
+    complex_order_shelling,
     complex_order_shelling_check,
     find_nonpure_shelling,
     find_shelling,
@@ -257,8 +258,13 @@ class TestTracedNamesAreReached:
         L = build_boolean(3)
         C = PComplex(L, [L.element_from_obj(p) for p in (["a", "b"], ["b", "c"], ["a", "c"])])
         assert complex_order_shelling_check(C).ok
-        assert calls["ordercomplex.verify_pure_simplicial_shelling"] == 1
+        # the prescribed order is decided on the cover graph, with no
+        # simplicial verification; the coatom order still verifies its chains
+        assert calls["ordercomplex.verify_pure_simplicial_shelling"] == 0
         assert calls["pcomplex.verify_shelling"] == 1
+        assert complex_order_shelling(C).ok
+        assert calls["ordercomplex.verify_pure_simplicial_shelling"] == 1
+        assert calls["pcomplex.verify_shelling"] == 2
 
     def test_polarized_shelling_when_the_lifted_order_fails(self, calls):
         rep = polarized_shelling(Multicomplex((3, 3), [(2, 2), (1, 3)]))
