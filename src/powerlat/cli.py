@@ -50,9 +50,8 @@ from .matroid import (
 )
 from .ordercomplex import (
     SimplicialComplex,
-    _prescribed_report,
+    _chain_order_report,
     _reduced_betti_work,
-    _reverse_lex_chains,
     order_complex,
     reduced_betti,
     sphere_order_shelling_check,
@@ -264,17 +263,15 @@ def _cmd_complex(args):
         C = _load_pcomplex(args.file)
         L = C.lattice
         # lex and shelling name one order; a non-pure complex raises here
-        chains = _reverse_lex_chains(C, atom_order, args.budget)
-        faces = C.faces(args.budget)
+        rep = _chain_order_report(C, atom_order, args.budget)
         report["chain_order"] = args.chain_order
-        report["count"] = len(chains)
-        report["chains"] = [[L.label(faces[p]) for p in path] for _, path in chains]
+        report["count"] = rep.chains
+        report["chains"] = [list(map(L.label, chain)) for chain in rep.order]
         code = 0
         if args.homology:
             sc = order_complex(C, budget=args.budget)
             report["reduced_betti"] = list(reduced_betti(sc, budget=args.budget))
         if args.sphere_check:
-            rep = _prescribed_report(C, atom_order, args.budget)
             report["shelling_check"] = rep.to_obj()
             code = 0 if rep.ok else 1
         return code, report

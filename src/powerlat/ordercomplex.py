@@ -6,38 +6,42 @@ then walked once per complex (`PComplex.chain_masks`), as int masks over
 the positions of `S.faces()`, the vertex indexes of `order_complex`, which
 takes the walked chains as its facets with no second check.  The faces of
 the order complex, the chains of S, are counted on the poset too, so the
-homology of a cone lists none of them.  One total order on maximal chains
-is provided, under two names: the reverse lexicographic order
-(`compare_reverse_lex`), which compares position by position from the top
-in the rank level order, is also the prescribed shelling order
+homology of a cone lists none of them.
+
+Two chain orders are provided.  The reverse lexicographic order
+(`compare_reverse_lex`) compares position by position from the top in the
+rank level order, and where two elements share a rank level key, by
+`sort_key`.  It is also the prescribed shelling order
 (`compare_shelling_order`), since comparing the tops first and then the
 truncated chains is the same comparison.  The prescribed order is not
 always a shelling, even when the facet order is
 (``test_private_atom_before_shared_fails`` pins the smallest
-counterexample); `complex_order_shelling` lists the chains by a recursive
+counterexample); `complex_order_shelling` orders the chains by a recursive
 coatom ordering instead, which does shell them.
 
-The prescribed order is decided on the cover graph, with no chain walked.
-For c = (0 = c_0 < c_1 < ... < c_r), restriction sets as in Bjorner and
-Wachs ("Shellable nonpure complexes and posets I", 1996) are local: a
-chain holding c - c_i differs from c only at rank i, so c_i is in R(c)
-exactly when it is not the earliest, in the rank level order, of the
-lower covers of c_{i+1} (of the facets, when i = r) above c_{i-1}.  The
+Both orders are tree orders read down from a top adjoined above the
+facets: two chains compare by the places of their elements among their
+siblings, read from the top, and a node's sibling order depends only on
+the node.  The prescribed order has one node per face.  The coatom order
+has one per (z, S), S the lower covers of z under an earlier sibling of z,
+which come first below z.  For c = (0 = c_0 < c_1 < ... < c_r),
+restriction sets as in Bjorner and Wachs ("Shellable nonpure complexes and
+posets I", 1996) are local: a chain holding c - c_i differs from c only at
+rank i, and agrees with c above it, so c_i is in R(c) exactly when some
+earlier sibling of c_i, at the node of c_{i+1}, lies above c_{i-1}.  The
 order fails at c exactly when the earliest chain through R(c) and the
 bottom, built greedily from the top, is not c: when at some level i
-outside R(c) an earlier lower cover of c_{i+1} (an earlier facet, when
-i = r) lies above s_i, the highest element of R(c) + {0} below rank i.
-Both tests read only (c_{i-1}, c_i, c_{i+1}, s_i), so one pass up the
-cover graph over the states (c_{i-1}, c_i, s_i) gives the verdict, and a
-descent from the top through the states that reach a failing step gives
-the first failing chain; a chain's index sums the maximal-chain counts of
-[0, y] over the earlier siblings y of its elements.  The report's `order`
-walks and sorts the chains when it is first read.  The chains of
-`complex_order_shelling`, and of the prescribed order where two faces
-share a rank level key, are walked, sorted and verified by one
-restriction-set verifier on int masks, `verify_nonpure_shelling`, with one
-bitset of earlier facets per vertex, which checks simplicial shellings
-with facets of any sizes; `verify_pure_simplicial_shelling` first refuses
+outside R(c) an earlier sibling of c_i lies above s_i, the highest element
+of R(c) + {0} below rank i.  Both tests read only the node of c_{i+1},
+c_{i-1}, c_i and s_i, so one pass up the node table over the states
+(c_{i-1}, s_i) at each node gives the verdict, and a descent from the root
+through the states that reach a failing step gives the first failing
+chain; a chain's index sums the maximal-chain counts of [0, y] over the
+earlier siblings y of its elements.  The report's `order` lists the chains
+by a depth-first walk of the same table, with no chain walked or sorted.
+`verify_nonpure_shelling` is the restriction-set verifier for simplicial
+shellings with facets of any sizes, on int masks with one bitset of
+earlier facets per vertex; `verify_pure_simplicial_shelling` first refuses
 unequal sizes.
 
 Reduced homology is computed over the rationals by exact integer
@@ -283,7 +287,9 @@ def order_complex(
 
 def compare_reverse_lex(L: PowerLattice, X, Y, atom_order=None) -> int:
     """Reverse lexicographic chain order: compare at the largest index where
-    the chains differ, in the rank level order.
+    the chains differ, in the rank level order, and where the two elements
+    there share a rank-level key, by `L.sort_key`; so 0 only for equal
+    chains.
 
     This is also the prescribed shelling order, `compare_shelling_order`:
     tops first, then the chains below the top.  It need not shell the order
@@ -296,7 +302,7 @@ def compare_reverse_lex(L: PowerLattice, X, Y, atom_order=None) -> int:
         raise LatticeInputError("chains must have equal length")
     for x, y in zip(reversed(X), reversed(Y)):
         if x != y:
-            return rank_lex_compare(L, x, y, atom_order)
+            return rank_lex_compare(L, x, y, atom_order) or (-1 if L.sort_key(x) < L.sort_key(y) else 1)
     return 0
 
 
@@ -305,64 +311,6 @@ def compare_reverse_lex(L: PowerLattice, X, Y, atom_order=None) -> int:
 # that is the reverse lexicographic order itself.  The name stays public
 # because the README, the tests and the perfbench tracer use it.
 compare_shelling_order = compare_reverse_lex
-
-
-def _reverse_lex_chains(C: PComplex, atom_order, budget) -> list:
-    # the chains of `PComplex.chain_masks` in the reverse lexicographic
-    # order: by the rank-level keys of their elements read from the top
-    # down, chains with equal keys kept in the `maximal_chains` order.  Each
-    # key is replaced by its place among the distinct keys; where the places
-    # are the positions, as with the default atom order, by the position.
-    _, chains = C.chain_masks(budget)
-    if len({len(path) for _, path in chains}) > 1:
-        raise LatticeInputError("chains must have equal length")
-    key = _rank_level_key(C.lattice, atom_order)
-    keys = [key(f) for f in C.faces(budget)]
-    place = {k: i for i, k in enumerate(sorted(set(keys)))}
-    places = [place[k] for k in keys]
-    if places == list(range(len(places))):
-        return sorted(chains, key=lambda chain: chain[1][::-1])
-    return sorted(chains, key=lambda chain: tuple(map(places.__getitem__, reversed(chain[1]))))
-
-
-def _coatom_chains(C: PComplex, facets, atom_order, budget) -> list:
-    # the chains of `PComplex.chain_masks` in the recursive coatom order of
-    # `complex_order_shelling`, a depth-first order: the chains sort by each
-    # element's place among its siblings, read from the top down.  The
-    # places below z depend only on z and on the lower covers `shared` of
-    # z's earlier siblings, so they are computed once per (z, shared); the
-    # facets are the children of z = None.
-    below, chains = C.chain_masks(budget)
-    faces = C.faces(budget)
-    key = _rank_level_key(C.lattice, atom_order)
-    pos = [key(f) for f in faces]
-    covers = [sum(1 << g for g in gs) for gs in below]
-
-    def places(order):
-        # each member's place in `order`, and the lower covers of the
-        # members before it
-        out, shared = {}, 0
-        for i, g in enumerate(order):
-            out[g] = (i, shared)
-            shared |= covers[g]
-        return out
-
-    index = {f: p for p, f in enumerate(faces)}
-    memo = {(None, 0): places([index[f] for f in facets])}
-
-    def chain_key(chain):
-        z, shared, out = None, 0, []
-        for g in reversed(chain[1]):
-            here = memo.get((z, shared))
-            if here is None:
-                order = sorted(below[z], key=lambda y: (not shared >> y & 1, pos[y]))
-                here = memo[z, shared] = places(order)
-            i, shared = here[g]
-            out.append(i)
-            z = g
-        return out
-
-    return sorted(chains, key=chain_key)
 
 
 # ---------------------------------------------------------------------------
@@ -487,55 +435,39 @@ def verify_pure_simplicial_shelling(facets_in_order) -> SimplicialShellingReport
 @dataclass
 class OrderShellingReport:
     """Verdict on a chain order; `order` holds the chains in the order
-    checked, bottom upward, and is left out of `to_obj`.  It is built when
-    read, from the positions of each chain that `_paths()` returns and the
-    faces at those positions, `_faces`; for the prescribed order that is
-    when the chains are first walked and sorted."""
+    checked, bottom upward, and is left out of `to_obj` and of equality.
+    It is listed when read, by `_order()`."""
 
     ok: bool
     chains: int
     witness: dict | None = None
     detail: str = ""
-    _paths: Callable = field(default=tuple, repr=False, compare=False)
-    _faces: tuple = field(default=(), repr=False)
+    _order: Callable = field(default=tuple, repr=False, compare=False)
 
     @property
     def order(self) -> tuple:
-        element = self._faces.__getitem__
-        return tuple(tuple(map(element, path)) for path in self._paths())
+        return self._order()
 
     def to_obj(self) -> dict:
         return _with_verdict({"ok": self.ok, "chains": self.chains}, self.witness, self.detail)
 
 
-def _order_report(C: PComplex, chains, budget) -> OrderShellingReport:
-    # check that the chains of `PComplex.chain_masks`, in the given order,
-    # shell the order complex
-    faces = C.faces(budget)
-    paths = tuple(path for _, path in chains)
-    rep = verify_pure_simplicial_shelling([m for m, _ in chains])
-    witness = rep.witness
-    if witness is not None and "j" in witness:
-        label = C.lattice.label
-        witness = dict(witness)
-        witness["chain_i"] = [label(faces[p]) for p in paths[witness["i"]]]
-        witness["chain_j"] = [label(faces[p]) for p in paths[witness["j"]]]
-    return OrderShellingReport(rep.ok, len(chains), witness, rep.detail, lambda: paths, faces)
-
-
-def _prescribed_report(C: PComplex, atom_order, budget) -> OrderShellingReport:
-    # The prescribed order decided on the cover graph of C (module
-    # docstring), after the face, chain-count and equal-length refusals of
-    # the walk.  Position n is a top adjoined above the facets.  kids[z]
-    # lists the lower covers of z in the rank-level order, and ups[y] the
-    # pairs (z, e) for the z covering y, e being the union of the strict
-    # down-sets of the kids of z before y: an earlier sibling of y lies
-    # above t exactly when e has bit t.  states[x] maps each state
-    # (c_{i-1}, s_i) of the chains with c_i = x to whether some chain
-    # reaches it through a failing step.
+def _chain_tree(C: PComplex, atom_order, budget, coatom: bool):
+    # (maximal chain count, faces, face, kids) for a chain order, after the
+    # face, chain-count and equal-length refusals.  The chains are the paths
+    # down a tree of nodes from a top adjoined above the facets, compared by
+    # the sibling places of their nodes read from the top.  Nodes are
+    # numbered children first, the bottom 0 and the root last; face[v] is
+    # the position of v's face (len(faces) at the root) and kids[v] lists
+    # v's children in sibling order.  The prescribed order has one node per
+    # face, its children in rank-level order, ties broken by `sort_key`
+    # (the positions).  The recursive coatom order has one node per (z, S),
+    # S the lower covers of z under an earlier sibling of z: those come
+    # first, then the rest, each part by rank-level key, ties kept in the
+    # host's lower-cover order; built top down, level by level.
     count = C._maximal_chain_count(budget)
     faces = C.faces(budget)
-    below, through, down, tops = C._poset()
+    below, _, _, tops = C._poset()
     n = len(faces)
     height = [0] * n
     for x in range(1, n):
@@ -545,41 +477,73 @@ def _prescribed_report(C: PComplex, atom_order, budget) -> OrderShellingReport:
         height[x] = h + 1
     if len({height[x] for x in tops}) > 1:
         raise LatticeInputError("chains must have equal length")
-    # the rank-level key is one to one on (rank, valuation), and the faces
-    # come sorted by it, ties broken by label (`sort_key`)
-    identity = list(range(n))
-    if atom_order is None:
-        ranked = identity
-        tied = any(x.rank == y.rank and x.valuation == y.valuation for x, y in zip(faces, faces[1:]))
-    else:
-        key = _rank_level_key(C.lattice, atom_order)
-        keys = [key(f) for f in faces]
-        ranked = sorted(identity, key=keys.__getitem__)
-        tied = any(keys[a] == keys[b] for a, b in zip(ranked, ranked[1:]))
-    if tied:
-        # chains with tied keys keep their walk order, which is not local
-        return _order_report(C, _reverse_lex_chains(C, atom_order, budget), budget)
-    place = [0] * n
-    for i, x in enumerate(ranked):
-        place[x] = i
-    by_place = None if ranked == identity else place.__getitem__
-    kids = [sorted(gs, key=by_place) for gs in below]
-    kids.append(sorted(tops, key=by_place))
-    ups = [[] for _ in range(n)]
-    for z, gs in enumerate(kids):
-        e = 0
-        for y in gs:
-            ups[y].append((z, e))
-            e |= down[y]
+    # the faces come sorted by `sort_key`, which extends the default
+    # rank-level key, so under the default atom order the places are the
+    # positions
+    by_place = keys = None
+    if atom_order is not None or coatom:
+        keys = list(map(_rank_level_key(C.lattice, atom_order), faces))
+        if atom_order is not None:
+            place = [0] * n
+            for i, x in enumerate(sorted(range(n), key=keys.__getitem__)):
+                place[x] = i
+            by_place = place.__getitem__
+    roots = sorted(tops, key=by_place)
+    if not coatom:
+        return count, faces, range(n + 1), [sorted(gs, key=by_place) for gs in below] + [roots]
+    covers = [sum(1 << g for g in gs) for gs in below]
+    face, held, kids, memo = [n], [0], [], {}
+    for z, S in zip(face, held):  # grows as the nodes are made
+        order = roots if z == n else sorted(below[z], key=lambda y: (not S >> y & 1, keys[y]))
+        ids, shared = [], 0
+        for y in order:
+            k = (y, covers[y] & shared)
+            if k not in memo:
+                memo[k] = len(face)
+                face.append(y)
+                held.append(k[1])
+            ids.append(memo[k])
+            shared |= covers[y]
+        kids.append(ids)
+    last = len(face) - 1
+    return count, faces, face[::-1], [[last - w for w in ids] for ids in reversed(kids)]
 
-    states = [{} for _ in range(n + 1)]
+
+def _chain_order_report(C: PComplex, atom_order, budget, coatom=False) -> OrderShellingReport:
+    # A chain order decided on the tree of `_chain_tree` (module docstring).
+    # ups[v] lists the pairs (u, e) for the parents u of node v, e being the
+    # union of the strict down-sets of the faces of the children of u
+    # before v: an earlier sibling of v lies above t exactly when e has
+    # bit t.  states[v] maps each state (c_{i-1}, s_i) of the chains
+    # through v to whether some chain reaches it through a failing step.
+    count, faces, face, kids = _chain_tree(C, atom_order, budget, coatom)
+    _, through, down, _ = C._poset()
+    root = len(kids) - 1
+    ups = [[] for _ in kids]
+    for u, vs in enumerate(kids):
+        e = 0
+        for v in vs:
+            ups[v].append((u, e))
+            e |= down[face[v]]
+
+    def order():
+        # the chains by a depth-first walk of the tree, bottom upward
+        out, stack = [], [(root, ())]
+        while stack:
+            v, path = stack.pop()
+            if not kids[v]:
+                out.append(tuple(map(faces.__getitem__, reversed(path))))
+            stack += [(w, path + (face[w],)) for w in reversed(kids[v])]
+        return tuple(out)
+
+    states = [{} for _ in kids]
     for a, _ in ups[0]:
         states[a][0, 0] = False
     failed = False
-    for x in range(1, n):
-        here = states[x]
-        for z, e in ups[x]:
-            there = states[z]
+    for v in range(1, root):
+        x, here = face[v], states[v]
+        for u, e in ups[v]:
+            there = states[u]
             for (p, s), f in here.items():
                 if e >> p & 1:  # x is in R: s moves up to x
                     k = (x, x)
@@ -590,27 +554,24 @@ def _prescribed_report(C: PComplex, atom_order, budget) -> OrderShellingReport:
                 if not there.get(k):
                     there[k] = f
 
-    def walk():
-        return tuple(path for _, path in _reverse_lex_chains(C, atom_order, budget))
-
     if not failed:
-        return OrderShellingReport(True, count, None, "", walk, faces)
-    chain = _first_failing_chain(states, ups, place, n)
+        return OrderShellingReport(True, count, None, "", order)
+    chain = _first_failing_chain(states, ups, face, kids)
     # R(c) level by level, then the earliest chain through R(c) and the
     # bottom, greedily from the top
     r = len(chain) - 2
-    restricted = [dict(ups[chain[k]])[chain[k + 1]] >> chain[k - 1] & 1 for k in range(1, r + 1)]
+    restricted = [dict(ups[chain[k]])[chain[k + 1]] >> face[chain[k - 1]] & 1 for k in range(1, r + 1)]
     lows, low = [], 0  # lows[k - 1]: the highest element of R(c) + {0} below level k
     for k in range(1, r + 1):
         lows.append(low)
         if restricted[k - 1]:
-            low = chain[k]
-    first = [n]
+            low = face[chain[k]]
+    first = [root]
     for k in range(r, 0, -1):
         if restricted[k - 1]:
-            first.append(chain[k])
+            first.append(next(w for w in kids[first[-1]] if face[w] == face[chain[k]]))
         else:
-            first.append(next(y for y in kids[first[-1]] if down[y] >> lows[k - 1] & 1))
+            first.append(next(w for w in kids[first[-1]] if down[face[w]] >> lows[k - 1] & 1))
     first.append(0)
     first.reverse()
 
@@ -618,41 +579,44 @@ def _prescribed_report(C: PComplex, atom_order, budget) -> OrderShellingReport:
         # the chains before c: those through an earlier sibling of some c_k
         # that agree with c above it
         return sum(
-            through[y] for k in range(1, r + 1) for y in kids[c[k + 1]][: kids[c[k + 1]].index(c[k])]
+            through[face[w]] for k in range(1, r + 1) for w in kids[c[k + 1]][: kids[c[k + 1]].index(c[k])]
         )
 
     label = C.lattice.label
     witness = {
         "i": index(first),
         "j": index(chain),
-        "chain_i": [label(faces[p]) for p in first[:-1]],
-        "chain_j": [label(faces[p]) for p in chain[:-1]],
+        "chain_i": [label(faces[face[v]]) for v in first[:-1]],
+        "chain_j": [label(faces[face[v]]) for v in chain[:-1]],
     }
     if any(restricted):
         detail = "no earlier facet covers the intersection with facet i"
     else:
         detail = "facet meets no earlier facet in a face of size one less"
-    return OrderShellingReport(False, count, witness, detail, walk, faces)
+    return OrderShellingReport(False, count, witness, detail, order)
 
 
-def _first_failing_chain(states, ups, place, n) -> list:
-    # The first failing chain of `_prescribed_report`, positions from the
-    # bottom up to the adjoined top n, found from the top down.  `cand`
-    # maps the states (c_{i-1}, s_i) of the chains through the part chosen
-    # so far to whether that part holds a failing step; a state is kept
-    # when a failing chain runs through it, by a failing step above it or
-    # below it (`states`), and the least c_{i-1} by place is taken.
-    chain, x = [n], n
-    cand = {k: False for k, f in states[n].items() if f}
+def _first_failing_chain(states, ups, face, kids) -> list:
+    # The first failing chain of `_chain_order_report`, as nodes from the
+    # bottom up to the root, found from the top down.  `cand` maps the
+    # states (c_{i-1}, s_i) of the chains through the part chosen so far
+    # to whether that part holds a failing step; a state is kept when a
+    # failing chain runs through it, by a failing step above it or below it
+    # (`states`), and the earliest child whose face is some c_{i-1} is taken.
+    u = len(kids) - 1
+    chain = [u]
+    cand = {k: False for k, f in states[u].items() if f}
     while True:
-        p = min({q for q, _ in cand}, key=place.__getitem__)
-        chain.append(p)
-        if not p:
+        named = {q for q, _ in cand}
+        v = next(w for w in kids[u] if face[w] in named)
+        chain.append(v)
+        if not v:
             return chain[::-1]
+        p = face[v]
         mine = {s: above for (q, s), above in cand.items() if q == p}
-        e = dict(ups[p])[x]
+        e = dict(ups[v])[u]
         cand = {}
-        for (q, t), f in states[p].items():
+        for (q, t), f in states[v].items():
             if e >> q & 1:
                 s, step = p, False
             else:
@@ -660,7 +624,7 @@ def _first_failing_chain(states, ups, place, n) -> list:
             above = mine.get(s)
             if above is not None and (above or step or f):
                 cand[q, t] = above or step
-        x = p
+        u = v
 
 
 def sphere_order_shelling_check(
@@ -670,25 +634,22 @@ def sphere_order_shelling_check(
     the sphere below x shells its order complex.
 
     Decided on the cover graph of the sphere, from its local restriction
-    sets (module docstring); the report's `order` walks and sorts the
-    chains when it is first read."""
-    return _prescribed_report(sphere(L, x), atom_order, budget)
+    sets (module docstring); the report's `order` lists the chains when it
+    is first read."""
+    return _chain_order_report(sphere(L, x), atom_order, budget)
 
 
 def _facet_order_refusal(C: PComplex, atom_order):
-    # (refusal report, None) unless C is pure with a shelling rank-level
-    # facet order, else (None, that facet order)
+    # the refusal report, unless C is pure with a shelling rank-level facet
+    # order
     if not C.is_pure():
-        refusal = OrderShellingReport(
-            False, 0, {"reason": "not pure"}, "complex is not pure"
-        )
-        return refusal, None
+        return OrderShellingReport(False, 0, {"reason": "not pure"}, "complex is not pure")
     srep = verify_shelling(C, None, atom_order)
     if not srep.ok:
         witness = dict(srep.witness or {})
         witness["reason"] = "facet order is not a shelling"
-        return OrderShellingReport(False, 0, witness, srep.detail), None
-    return None, srep.order
+        return OrderShellingReport(False, 0, witness, srep.detail)
+    return None
 
 
 def complex_order_shelling_check(
@@ -704,17 +665,14 @@ def complex_order_shelling_check(
     when the earliest chain through its restriction set is another one,
     and one pass over the states (c_{i-1}, c_i, s_i) finds whether some
     chain fails, and which is first (module docstring).  The report's
-    `order` walks and sorts the chains when it is first read.
+    `order` lists the chains when it is first read.
 
     The prescribed order is not always a shelling: facets {a,c} and {b,c}
     in the Boolean lattice on three atoms are the smallest counterexample
     (``test_private_atom_before_shared_fails``).  `complex_order_shelling`
     orders the chains so that they do shell.
     """
-    refusal, _ = _facet_order_refusal(C, atom_order)
-    if refusal is not None:
-        return refusal
-    return _prescribed_report(C, atom_order, budget)
+    return _facet_order_refusal(C, atom_order) or _chain_order_report(C, atom_order, budget)
 
 
 def complex_order_shelling(
@@ -727,15 +685,13 @@ def complex_order_shelling(
     The facets come in rank-level order, and below each chain element z its
     lower covers come first when they lie under an earlier sibling of z (an
     earlier facet, for a facet; otherwise a lower cover of z's parent that
-    precedes z), then the rest, each part in rank-level order.  The maximal
-    chains in the depth-first order of that tree (Bjorner and Wachs, "On
-    lexicographically shellable posets", 1983, section 3) are then verified
-    as a simplicial shelling.
+    precedes z), then the rest, each part in rank-level order (Bjorner and
+    Wachs, "On lexicographically shellable posets", 1983, section 3).  The
+    order is decided by the same pass as the prescribed order's, over one
+    node per element and set of such lower covers (module docstring); the
+    report's `order` lists the chains, depth first, when it is first read.
     """
-    refusal, facets = _facet_order_refusal(C, atom_order)
-    if refusal is not None:
-        return refusal
-    return _order_report(C, _coatom_chains(C, facets, atom_order, budget), budget)
+    return _facet_order_refusal(C, atom_order) or _chain_order_report(C, atom_order, budget, coatom=True)
 
 
 # ---------------------------------------------------------------------------

@@ -20,13 +20,36 @@ positions of its faces, the library had these, all on tuples of elements:
   face positions by the frozenset verifier of shelling_oracles.py, with
   the chains' elements held in the report (`ElementOrderReport`).
 
+Before both chain orders were decided on one tree of nodes, the library
+walked and sorted the chains of the complex and verified them as a
+simplicial shelling on int masks:
+
+- `walked_reverse_lex_chains`: the chains of `PComplex.chain_masks` in the
+  reverse lexicographic order, chains with equal keys at every level kept
+  in the walk order;
+- `walked_coatom_chains`: the chains in the recursive coatom order of
+  `complex_order_shelling`, each element placed among its siblings once
+  per (element, lower covers of its earlier siblings);
+- `walked_order_report`: `verify_pure_simplicial_shelling` on the chains
+  in the order given, the witness naming both chains;
+- `walked_complex_check` and `walked_complex_shelling`: the two checks of
+  a complex, after the facet-order refusals.
+
 The differential tests in test_chain_paths.py compare the library with
 them.
 """
 
 from dataclasses import dataclass
 
-from powerlat import BudgetError, LatticeInputError, SimplicialComplex, sphere
+from powerlat import (
+    BudgetError,
+    LatticeInputError,
+    OrderShellingReport,
+    SimplicialComplex,
+    sort_by_rank_lex,
+    sphere,
+    verify_pure_simplicial_shelling,
+)
 from powerlat.lattice import _rank_level_key
 from powerlat.ordercomplex import _facet_order_refusal
 
@@ -129,7 +152,7 @@ def element_sphere_order_shelling_check(L, x, atom_order=None, budget=10_000):
 
 
 def element_complex_order_shelling_check(C, atom_order=None, budget=10_000):
-    refusal, _ = _facet_order_refusal(C, atom_order)
+    refusal = _facet_order_refusal(C, atom_order)
     if refusal is not None:
         return refusal
     chains = element_maximal_chains(C, include_bottom=True, budget=budget)
@@ -138,9 +161,10 @@ def element_complex_order_shelling_check(C, atom_order=None, budget=10_000):
 
 def element_complex_order_shelling(C, atom_order=None, budget=10_000):
     L = C.lattice
-    refusal, facets = _facet_order_refusal(C, atom_order)
+    refusal = _facet_order_refusal(C, atom_order)
     if refusal is not None:
         return refusal
+    facets = sort_by_rank_lex(L, C.facets, atom_order)
     key = _rank_level_key(L, atom_order)
     pos = {f.key: key(f) for f in C.faces(budget=budget)}
     below = lower_cover_map(C, budget)
@@ -161,3 +185,94 @@ def element_complex_order_shelling(C, atom_order=None, budget=10_000):
     for i, f in enumerate(facets):
         walk((f,), facets[:i])
     return order_report(C, chains, budget)
+
+
+def walked_reverse_lex_chains(C, atom_order, budget):
+    # each key replaced by its place among the distinct keys; where the
+    # places are the positions, as with the default atom order, by the
+    # position
+    _, chains = C.chain_masks(budget)
+    if len({len(path) for _, path in chains}) > 1:
+        raise LatticeInputError("chains must have equal length")
+    key = _rank_level_key(C.lattice, atom_order)
+    keys = [key(f) for f in C.faces(budget)]
+    place = {k: i for i, k in enumerate(sorted(set(keys)))}
+    places = [place[k] for k in keys]
+    if places == list(range(len(places))):
+        return sorted(chains, key=lambda chain: chain[1][::-1])
+    return sorted(chains, key=lambda chain: tuple(map(places.__getitem__, reversed(chain[1]))))
+
+
+def walked_coatom_chains(C, facets, atom_order, budget):
+    # a depth-first order: the chains sort by each element's place among
+    # its siblings, read from the top down.  The places below z depend only
+    # on z and on the lower covers `shared` of z's earlier siblings, so they
+    # are computed once per (z, shared); the facets are the children of
+    # z = None.
+    below, chains = C.chain_masks(budget)
+    faces = C.faces(budget)
+    key = _rank_level_key(C.lattice, atom_order)
+    pos = [key(f) for f in faces]
+    covers = [sum(1 << g for g in gs) for gs in below]
+
+    def places(order):
+        # each member's place in `order`, and the lower covers of the
+        # members before it
+        out, shared = {}, 0
+        for i, g in enumerate(order):
+            out[g] = (i, shared)
+            shared |= covers[g]
+        return out
+
+    index = {f: p for p, f in enumerate(faces)}
+    memo = {(None, 0): places([index[f] for f in facets])}
+
+    def chain_key(chain):
+        z, shared, out = None, 0, []
+        for g in reversed(chain[1]):
+            here = memo.get((z, shared))
+            if here is None:
+                order = sorted(below[z], key=lambda y: (not shared >> y & 1, pos[y]))
+                here = memo[z, shared] = places(order)
+            i, shared = here[g]
+            out.append(i)
+            z = g
+        return out
+
+    return sorted(chains, key=chain_key)
+
+
+def walked_order_report(C, chains, budget):
+    faces = C.faces(budget)
+    paths = tuple(path for _, path in chains)
+    rep = verify_pure_simplicial_shelling([m for m, _ in chains])
+    witness = rep.witness
+    if witness is not None and "j" in witness:
+        label = C.lattice.label
+        witness = dict(witness)
+        witness["chain_i"] = [label(faces[p]) for p in paths[witness["i"]]]
+        witness["chain_j"] = [label(faces[p]) for p in paths[witness["j"]]]
+
+    def order():
+        return tuple(tuple(map(faces.__getitem__, path)) for path in paths)
+
+    return OrderShellingReport(rep.ok, len(chains), witness, rep.detail, order)
+
+
+def walked_order_check(C, atom_order=None, budget=10_000):
+    return walked_order_report(C, walked_reverse_lex_chains(C, atom_order, budget), budget)
+
+
+def walked_complex_check(C, atom_order=None, budget=10_000):
+    refusal = _facet_order_refusal(C, atom_order)
+    if refusal is not None:
+        return refusal
+    return walked_order_check(C, atom_order, budget)
+
+
+def walked_complex_shelling(C, atom_order=None, budget=10_000):
+    refusal = _facet_order_refusal(C, atom_order)
+    if refusal is not None:
+        return refusal
+    facets = sort_by_rank_lex(C.lattice, C.facets, atom_order)
+    return walked_order_report(C, walked_coatom_chains(C, facets, atom_order, budget), budget)

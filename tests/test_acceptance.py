@@ -215,8 +215,8 @@ def test_criterion_5_order_shellings(corpus):
 
     # every shellable independence complex produced by criteria 3 and 4
     # must have a shellable order complex.  The certifier checks the
-    # facet-order hypothesis itself, then orders the chains by a recursive
-    # coatom ordering and verifies that order, so hypothesis failures and
+    # facet-order hypothesis itself, then decides the recursive coatom
+    # ordering of the chains on the cover graph, so hypothesis failures and
     # chain order failures are reported apart.  The prescribed chain order
     # (tops in facet order, reverse lexicographic below) is not a shelling
     # in general; how often it fails is reported, not asserted.

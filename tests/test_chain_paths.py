@@ -1,13 +1,17 @@
 """The chains walked once as int masks, and the mask verifier, against the
 Element-tuple walk and the frozenset verifier they replaced
-(chain_oracles.py, shelling_oracles.py); and the prescribed order decided
-on the cover graph against the walked check it replaced.
+(chain_oracles.py, shelling_oracles.py); and both chain orders, decided
+on one tree of nodes, against the walked checks they replaced.
 
 Every complex is compared under the identity and the reversed atom order:
 chains and their order, verdicts, witnesses (`chain_i` and `chain_j`
 included), refusal messages, and the same answers whether the complex's
 cached faces and chains are cold or warm.
 """
+
+import itertools
+import random
+from functools import cmp_to_key
 
 import pytest
 
@@ -18,8 +22,11 @@ from powerlat import (
     PComplex,
     bases,
     build_boolean,
+    build_hasse,
     build_multiset,
     build_subspace,
+    compare_reverse_lex,
+    compare_shelling_order,
     complex_order_shelling,
     complex_order_shelling_check,
     graphic_matroid,
@@ -28,6 +35,7 @@ from powerlat import (
     multicomplex_from_pcomplex,
     order_complex,
     polarized_shelling,
+    sort_by_rank_lex,
     sphere,
     sphere_order_shelling_check,
     uniform_matroid,
@@ -36,12 +44,7 @@ from powerlat import (
 )
 from powerlat import stanley_reisner as sr
 from powerlat.lattice import _bits
-from powerlat.ordercomplex import (
-    _coatom_chains,
-    _facet_order_refusal,
-    _order_report,
-    _reverse_lex_chains,
-)
+from powerlat.ordercomplex import _facet_order_refusal
 
 from chain_oracles import (
     element_complex_order_shelling,
@@ -49,6 +52,11 @@ from chain_oracles import (
     element_maximal_chains,
     element_order_complex,
     element_sphere_order_shelling_check,
+    walked_coatom_chains,
+    walked_complex_check,
+    walked_complex_shelling,
+    walked_order_check,
+    walked_reverse_lex_chains,
 )
 from shelling_oracles import (
     frozenset_verify_nonpure_shelling,
@@ -152,56 +160,74 @@ class TestAgainstTheElementWalk:
         assert failures > 0
 
 
-def walked_order_check(C, atom_order=None, budget=10_000):
-    # the prescribed order as it was checked before the state pass: every
-    # chain walked, sorted reverse lexicographically and verified as a
-    # simplicial shelling
-    return _order_report(C, _reverse_lex_chains(C, atom_order, budget), budget)
+CHECKS = [
+    (complex_order_shelling_check, walked_complex_check),
+    (complex_order_shelling, walked_complex_shelling),
+]
 
 
-def walked_complex_check(C, atom_order=None, budget=10_000):
-    refusal, _ = _facet_order_refusal(C, atom_order)
-    if refusal is not None:
-        return refusal
-    return walked_order_check(C, atom_order, budget)
+def pure_families(L, rng, count):
+    # seeded antichains of one rank, one to five elements each
+    for _ in range(count):
+        level = L.elements_of_rank(rng.randint(1, L.top_rank))
+        yield PComplex(L, rng.sample(level, rng.randint(1, min(5, len(level)))))
 
 
 class TestStatePassAgainstTheWalk:
-    """`complex_order_shelling_check` and `sphere_order_shelling_check`
-    decide the prescribed order on the cover graph; the walked check is
-    their oracle, `order` included."""
+    """Both chain orders are decided on one tree of nodes: the prescribed
+    order by `complex_order_shelling_check` and
+    `sphere_order_shelling_check`, the recursive coatom order by
+    `complex_order_shelling`.  The walked checks of chain_oracles.py are
+    their oracles, `order` included."""
+
+    def assert_checks_agree(self, tag, C, details):
+        for atom_order in atom_orders(C):
+            for fn, oracle in CHECKS:
+                want = outcome(oracle, fresh(C), atom_order)
+                assert outcome(fn, fresh(C), atom_order) == want, (tag, fn.__name__, atom_order)
+                details.add((fn.__name__, want[3]))
 
     def test_graph_classes_with_at_most_four_edges(self):
         details = set()
         for spec in graph_classes():
-            if len(spec) > 4:
-                continue
-            C = independence_complex(graphic_matroid(graph_of(spec)))
-            for atom_order in atom_orders(C):
-                want = outcome(walked_complex_check, fresh(C), atom_order)
-                assert outcome(complex_order_shelling_check, fresh(C), atom_order) == want, (spec, atom_order)
-                details.add(want[3])
+            if len(spec) <= 4:
+                self.assert_checks_agree(spec, independence_complex(graphic_matroid(graph_of(spec))), details)
         assert details == {
-            "",
-            "facet meets no earlier facet in a face of size one less",
-            "no earlier facet covers the intersection with facet i",
+            ("complex_order_shelling_check", ""),
+            ("complex_order_shelling_check", "facet meets no earlier facet in a face of size one less"),
+            ("complex_order_shelling_check", "no earlier facet covers the intersection with facet i"),
+            ("complex_order_shelling", ""),
         }
 
     def test_corpus_sphere_intervals(self, corpus):
+        details = set()
         for tag, L, x in sphere_complexes(corpus):
             for atom_order in atom_orders(sphere(L, x)):
                 want = outcome(walked_order_check, sphere(L, x), atom_order)
                 assert outcome(sphere_order_shelling_check, L, x, atom_order) == want, (tag, atom_order)
+            self.assert_checks_agree(tag, sphere(L, x), details)
+        assert details == {("complex_order_shelling_check", ""), ("complex_order_shelling", "")}
+
+    def test_seeded_pure_families(self):
+        rng = random.Random(41)
+        details = set()
+        for L in (build_boolean(4), build_subspace(2, 3)):
+            for C in pure_families(L, rng, 60):
+                self.assert_checks_agree((L.kind, C.facets), C, details)
+        assert {fn for fn, detail in details if detail} == {
+            "complex_order_shelling_check",
+            "complex_order_shelling",
+        }
 
     def test_tied_rank_level_keys(self):
-        # Q8's three rank-2 powers of its one atom share a key, and chains
-        # through them keep their walk order
+        # Q8's three rank-2 powers of its one atom share a key, at one rank
+        # level only, so the tie rule does not move its chains
         L = q8_lattice()
         C = PComplex(L, [L.top])
-        complex_order_shelling_check(C)
-        assert C._chains is not None  # walked: ties are left to the walk order
-        assert outcome(complex_order_shelling_check, C) == outcome(walked_complex_check, fresh(C))
-        assert len(complex_order_shelling_check(C).order) == 3
+        for fn, oracle in CHECKS:
+            assert outcome(fn, C) == outcome(oracle, fresh(C)), fn.__name__
+            assert len(fn(C).order) == 3
+        assert C._chains is None  # no chain walked, `order` read or not
 
     def test_chains_walked_when_order_is_read(self):
         L = build_multiset((2, 2, 1))
@@ -212,12 +238,65 @@ class TestStatePassAgainstTheWalk:
         complexes.append(PComplex(B, [B.element_from_obj(["a", "c"]), B.element_from_obj(["b", "c"])]))
         verdicts = set()
         for C in complexes:
-            rep = complex_order_shelling_check(C)
-            assert C._chains is None, C.facets
-            assert rep.order == walked_complex_check(fresh(C)).order, C.facets
-            assert C._chains is not None, C.facets
-            verdicts.add(rep.ok)
-        assert verdicts == {True, False}
+            for fn, oracle in CHECKS:
+                rep = fn(C)
+                assert rep.order == oracle(fresh(C)).order, (fn.__name__, C.facets)
+                assert C._chains is None, C.facets  # listed off the tree, not walked
+                verdicts.add((fn.__name__, rep.ok))
+        assert verdicts == {
+            ("complex_order_shelling_check", True),
+            ("complex_order_shelling_check", False),
+            ("complex_order_shelling", True),
+        }
+
+
+def tie_lattice():
+    # two chains 0 < a < b < z < T and 0 < a < c < y < T whose elements
+    # share rank-level keys at two levels (b, c and z, y)
+    return build_hasse(
+        list("0abcyzT"),
+        [["0", "a"], ["a", "b"], ["a", "c"], ["b", "z"], ["c", "y"], ["z", "T"], ["y", "T"]],
+    )
+
+
+def labelled(L, chains):
+    return [[L.label(x) for x in chain] for chain in chains]
+
+
+class TestTiedKeys:
+    """Where two elements share a rank-level key, `sort_key` breaks the tie
+    at the highest level where two chains differ, in `compare_reverse_lex`
+    and in the prescribed order of the checks alike."""
+
+    def test_ties_at_two_levels(self):
+        L = tie_lattice()
+        C = PComplex(L, [L.top])
+        rep = sphere_order_shelling_check(L, L.top)
+        assert rep.to_obj() == {
+            "ok": False,
+            "chains": 2,
+            "witness": {"i": 0, "j": 1, "chain_i": ["0", "a", "c", "y"], "chain_j": ["0", "a", "b", "z"]},
+            "detail": "facet meets no earlier facet in a face of size one less",
+        }
+        assert labelled(L, rep.order) == [["0", "a", "c", "y"], ["0", "a", "b", "z"]]
+        for fn in (complex_order_shelling_check, complex_order_shelling):
+            rep = fn(C)
+            assert not rep.ok and rep.witness["chain_i"] == ["0", "a", "c", "y", "T"], fn.__name__
+            assert labelled(L, rep.order) == [["0", "a", "c", "y", "T"], ["0", "a", "b", "z", "T"]]
+
+    def test_comparator_sort_gives_the_checks_order(self):
+        for L in (q8_lattice(), tie_lattice()):
+            for x in L.elements():
+                if x.rank < 2:
+                    continue
+                chains = maximal_chains(sphere(L, x))
+                for X, Y in itertools.product(chains, repeat=2):
+                    assert (compare_reverse_lex(L, X, Y) == 0) == (X == Y), labelled(L, (X, Y))
+                want = sorted(chains, key=cmp_to_key(lambda X, Y: compare_shelling_order(L, X, Y)))
+                assert list(sphere_order_shelling_check(L, x).order) == want, L.label(x)
+            C = PComplex(L, [L.top])
+            want = sorted(maximal_chains(C), key=cmp_to_key(lambda X, Y: compare_shelling_order(L, X, Y)))
+            assert list(complex_order_shelling_check(C).order) == want
 
 
 def budget_cases():
@@ -298,10 +377,10 @@ class TestMaskVerifier:
     def test_both_chain_orders_of_small_criterion_5_complexes(self):
         verdicts = set()
         for tag, C in small_graph_complexes():
-            refusal, facets = _facet_order_refusal(C, None)
-            if refusal is not None:
+            if _facet_order_refusal(C, None) is not None:
                 continue
-            for chains in (_reverse_lex_chains(C, None, 10_000), _coatom_chains(C, facets, None, 10_000)):
+            facets = sort_by_rank_lex(C.lattice, C.facets)
+            for chains in (walked_reverse_lex_chains(C, None, 10_000), walked_coatom_chains(C, facets, None, 10_000)):
                 masks = [m for m, _ in chains]
                 rep = verify_pure_simplicial_shelling(masks)
                 old = frozenset_verify_pure_simplicial_shelling(as_sets(masks))

@@ -36,7 +36,7 @@ from powerlat import (
     verify_pure_simplicial_shelling,
     verify_shelling,
 )
-from powerlat.ordercomplex import _reverse_lex_chains
+from powerlat.ordercomplex import _chain_order_report
 
 from chain_oracles import sort_chains
 from test_graphic import SLOTS, canonical, graph_of
@@ -552,11 +552,13 @@ class TestNonGradedHost:
         assert facets == {frozenset({"0", "a", "b", "1"}), frozenset({"0", "c", "1"})}
 
     def test_chain_orders_refuse_unequal_chains(self):
+        # all three checks, the coatom order too, refuse before ordering
         L, C = self.pentagon()
-        with pytest.raises(LatticeInputError):
-            complex_order_shelling(C)
-        with pytest.raises(LatticeInputError):
-            complex_order_shelling_check(C)
+        for check in (complex_order_shelling, complex_order_shelling_check):
+            with pytest.raises(LatticeInputError, match=r"^chains must have equal length$"):
+                check(C)
+        with pytest.raises(LatticeInputError, match=r"^chains must have equal length$"):
+            sphere_order_shelling_check(L, L.top)
 
 
 # --- the key sorts and the cover walk against the code they replaced ---------
@@ -624,9 +626,8 @@ class TestChainOrderOracles:
             L = C.lattice
             chains = maximal_chains(C)
             cmp = lambda A, B: compare_reverse_lex(L, A, B, atom_order)
-            # equal keys keep the maximal_chains order
-            faces = C.faces()
-            got = [tuple(faces[p] for p in path) for _, path in _reverse_lex_chains(C, atom_order, 10_000)]
+            # the prescribed order's tree, listed depth first
+            got = list(_chain_order_report(C, atom_order, 10_000).order)
             assert got == sorted(chains, key=cmp_to_key(cmp)), (tag, atom_order)
             # the oracle sort keeps equal keys in any order it is given
             rng.shuffle(chains)

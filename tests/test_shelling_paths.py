@@ -258,12 +258,12 @@ class TestTracedNamesAreReached:
         L = build_boolean(3)
         C = PComplex(L, [L.element_from_obj(p) for p in (["a", "b"], ["b", "c"], ["a", "c"])])
         assert complex_order_shelling_check(C).ok
-        # the prescribed order is decided on the cover graph, with no
-        # simplicial verification; the coatom order still verifies its chains
+        # both chain orders are decided on the cover graph, with no
+        # simplicial verification
         assert calls["ordercomplex.verify_pure_simplicial_shelling"] == 0
         assert calls["pcomplex.verify_shelling"] == 1
         assert complex_order_shelling(C).ok
-        assert calls["ordercomplex.verify_pure_simplicial_shelling"] == 1
+        assert calls["ordercomplex.verify_pure_simplicial_shelling"] == 0
         assert calls["pcomplex.verify_shelling"] == 2
 
     def test_polarized_shelling_when_the_lifted_order_fails(self, calls):

@@ -1,5 +1,5 @@
 """The order complex read off the walked chains, the restriction-set
-verifier's bitset scan and the reverse lexicographic sort by positions,
+verifier's bitset scan and the reverse lexicographic listing of the chains,
 against the code they replaced.
 
 - `order_complex` builds its complex from `PComplex.chain_masks` without
@@ -8,9 +8,9 @@ against the code they replaced.
 - `verify_nonpure_shelling` keeps, per vertex, a bitset of the earlier
   facets on it; `rarest_vertex_verify_nonpure_shelling` of
   shelling_oracles.py scanned index lists.
-- `_reverse_lex_chains` sorts by the reversed positions when the
-  rank-level places are the positions; `place_map_reverse_lex_chains` of
-  chain_oracles.py always sorted by the places.
+- the prescribed order lists the chains by a depth-first walk of its tree
+  (`_chain_order_report`); `place_map_reverse_lex_chains` of
+  chain_oracles.py sorted the walked chains by their rank-level places.
 """
 
 import random
@@ -21,17 +21,13 @@ from powerlat import (
     build_multiset,
     find_nonpure_shelling,
     order_complex,
+    sort_by_rank_lex,
     verify_nonpure_shelling,
     verify_pure_simplicial_shelling,
 )
-from powerlat.ordercomplex import (
-    _coatom_chains,
-    _facet_order_refusal,
-    _reduced_betti_work,
-    _reverse_lex_chains,
-)
+from powerlat.ordercomplex import _chain_order_report, _facet_order_refusal, _reduced_betti_work
 
-from chain_oracles import place_map_reverse_lex_chains
+from chain_oracles import place_map_reverse_lex_chains, walked_coatom_chains, walked_reverse_lex_chains
 from shelling_oracles import rarest_vertex_verify_nonpure_shelling
 from test_chain_counts import BIG, counted_complexes
 from test_shelling_paths import masks_of, random_antichain, verdict
@@ -146,10 +142,10 @@ class TestBitsetScan:
     def test_matches_the_rarest_vertex_scan_on_chain_orders(self, corpus):
         verdicts = set()
         for tag, C in chain_complexes(corpus):
-            orders = [_reverse_lex_chains(C, None, BIG)]
-            refusal, facets = _facet_order_refusal(C, None)
-            if refusal is None:
-                orders.append(_coatom_chains(C, facets, None, BIG))
+            orders = [walked_reverse_lex_chains(C, None, BIG)]
+            if _facet_order_refusal(C, None) is None:
+                facets = sort_by_rank_lex(C.lattice, C.facets)
+                orders.append(walked_coatom_chains(C, facets, None, BIG))
             for chains in orders:
                 masks = [m for m, _ in chains]
                 rep = verify_pure_simplicial_shelling(masks)
@@ -159,7 +155,7 @@ class TestBitsetScan:
 
 
 # ---------------------------------------------------------------------------
-# the reverse lexicographic sort
+# the reverse lexicographic listing
 
 
 class TestReverseLexSort:
@@ -168,11 +164,12 @@ class TestReverseLexSort:
         for tag, C in counted_complexes(corpus):
             if len({len(path) for _, path in C.chain_masks(BIG)[1]}) > 1:
                 continue
-            n = len(C.lattice.atoms)
+            faces, n = C.faces(BIG), len(C.lattice.atoms)
             shifted = tuple(range(1, n)) + (0,)
             for atom_order in (None, tuple(reversed(range(n))), shifted):
-                got = _reverse_lex_chains(C, atom_order, BIG)
-                assert got == place_map_reverse_lex_chains(C, atom_order, BIG), (tag, atom_order)
-                permuted += atom_order is not None and got != _reverse_lex_chains(C, None, BIG)
+                got = _chain_order_report(C, atom_order, BIG).order
+                want = place_map_reverse_lex_chains(C, atom_order, BIG)
+                assert got == tuple(tuple(map(faces.__getitem__, path)) for _, path in want), (tag, atom_order)
+                permuted += atom_order is not None and got != _chain_order_report(C, None, BIG).order
         assert permuted > 100
 
