@@ -73,8 +73,12 @@ from .stanley_reisner import (
 
 
 def _load_json(path: str):
+    # input nested past the decoder's recursion limit is unusable, not a defect
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        try:
+            return json.load(fh)
+        except RecursionError:
+            raise LatticeInputError(f"{path} nests JSON too deeply to decode") from None
 
 
 def _referenced(value, path: str):
@@ -143,7 +147,7 @@ def _parse_index_order(text: str, count: int, what: str) -> list:
 def _parse_element(L: PowerLattice, text: str, flag: str):
     try:
         obj = json.loads(text)
-    except json.JSONDecodeError:
+    except (json.JSONDecodeError, RecursionError):  # too deep to decode: unusable, not a defect
         raise LatticeInputError(f"{flag} takes a JSON element encoding") from None
     return L.element_from_obj(obj)
 
@@ -291,10 +295,7 @@ def _cmd_complex(args):
     # sphere: the reverse lexicographic chain order shells every sphere
     L = _load_lattice(args.file)
     if args.element is not None:
-        try:
-            targets = [L.element_from_obj(json.loads(args.element))]
-        except json.JSONDecodeError:
-            raise LatticeInputError("--element takes a JSON element encoding") from None
+        targets = [_parse_element(L, args.element, "--element")]
         if targets[0].rank < 2:
             raise LatticeInputError("a sphere check needs an element of rank at least 2")
     else:
@@ -539,10 +540,7 @@ def main(argv=None) -> int:
     started = time.perf_counter()
     try:
         code, report = args.run(args)
-    except (LatticeInputError, BudgetError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (json.JSONDecodeError, OSError) as exc:
+    except (LatticeInputError, BudgetError, json.JSONDecodeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:

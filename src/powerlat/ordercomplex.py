@@ -1,12 +1,13 @@
 """Order complexes, chain orders, simplicial shellings, and homology.
 
 The order complex of a complex S is the simplicial complex of chains in S;
-its facets are the maximal chains.  They are counted on the face poset,
-then walked once per complex (`PComplex.chain_masks`), as int masks over
-the positions of `S.faces()`, the vertex indexes of `order_complex`, which
-takes the walked chains as its facets with no second check.  The faces of
-the order complex, the chains of S, are counted on the poset too, so the
-homology of a cone lists none of them.
+its facets are the maximal chains.  They are counted on the face poset
+that `S.faces()` builds with the faces (`pcomplex._FacePoset`), which the
+chain orders read too, then walked once per complex (`chain_masks`, the
+chains alone) as int masks over the positions of `S.faces()`, the vertex
+indexes of `order_complex`, which takes them as its facets with no second
+check.  The faces of the order complex, the chains of S, are counted on
+the poset too, so the homology of a cone lists none of them.
 
 Two chain orders are provided.  The reverse lexicographic order
 (`compare_reverse_lex`) compares position by position from the top in the
@@ -236,7 +237,7 @@ def maximal_chains(C: PComplex, include_bottom: bool = True, budget: int = 10_00
     """All maximal chains of the complex, as tuples from bottom upward, in
     the lexicographic order of their elements' `sort_key`s: the chains of
     `PComplex.chain_masks`, mapped back to elements."""
-    _, chains = C.chain_masks(budget)
+    chains = C.chain_masks(budget)
     element = C.faces(budget).__getitem__
     skip = 0 if include_bottom else 1  # the bottom is position 0
     return [tuple(map(element, path[skip:])) for _, path in chains]
@@ -244,7 +245,7 @@ def maximal_chains(C: PComplex, include_bottom: bool = True, budget: int = 10_00
 
 def _chain_count(down) -> int:
     # the chains of the face poset minus its bottom (position 0), the empty
-    # chain included, from the strict down-sets of `PComplex._poset`: the
+    # chain included, from the strict down-sets of the face poset: the
     # chains with top x number 1 plus those with top y, summed over the y
     # below x.
     topped = [0] * len(down)  # 0 at the bottom, which is left out
@@ -265,11 +266,11 @@ def order_complex(
     of their positions: stably sorted by length, they are its facets, and
     their walked paths are kept for the `facets` view.
     """
-    _, chains = C.chain_masks(budget)
+    chains = C.chain_masks(budget)
     labels = tuple(map(C.lattice.label, C.faces(budget)))
     masks = sorted((m for m, _ in chains), key=int.bit_count)
     paths = sorted((path for _, path in chains), key=len)  # the same stable sort
-    faces = _chain_count(C._poset()[2])
+    faces = _chain_count(C._poset.down)
     if include_bottom:
         faces <<= 1
     else:
@@ -453,30 +454,23 @@ class OrderShellingReport:
 
 
 def _chain_tree(C: PComplex, atom_order, budget, coatom: bool):
-    # (maximal chain count, faces, face, kids) for a chain order, after the
-    # face, chain-count and equal-length refusals.  The chains are the paths
-    # down a tree of nodes from a top adjoined above the facets, compared by
-    # the sibling places of their nodes read from the top.  Nodes are
-    # numbered children first, the bottom 0 and the root last; face[v] is
-    # the position of v's face (len(faces) at the root) and kids[v] lists
-    # v's children in sibling order.  The prescribed order has one node per
-    # face, its children in rank-level order, ties broken by `sort_key`
-    # (the positions).  The recursive coatom order has one node per (z, S),
-    # S the lower covers of z under an earlier sibling of z: those come
-    # first, then the rest, each part by rank-level key, ties kept in the
-    # host's lower-cover order; built top down, level by level.
-    count = C._maximal_chain_count(budget)
-    faces = C.faces(budget)
-    below, _, _, tops = C._poset()
-    n = len(faces)
-    height = [0] * n
-    for x in range(1, n):
-        h = height[below[x][0]]
-        if any(height[g] != h for g in below[x]):
-            raise LatticeInputError("chains must have equal length")
-        height[x] = h + 1
-    if len({height[x] for x in tops}) > 1:
+    # (poset, face, kids) for a chain order, after the face, chain-count and
+    # equal-length refusals, which read the face poset.  The chains are the
+    # paths down a tree of nodes from a top adjoined above the facets,
+    # compared by the sibling places of their nodes read from the top.
+    # Nodes are numbered children first, the bottom 0 and the root last;
+    # face[v] is the position of v's face (len(faces) at the root) and
+    # kids[v] lists v's children in sibling order.  The prescribed order has
+    # one node per face, its children in rank-level order, ties broken by
+    # `sort_key` (the positions).  The recursive coatom order has one node
+    # per (z, S), S the lower covers of z under an earlier sibling of z:
+    # those come first, then the rest, each part by rank-level key, ties
+    # kept in the host's lower-cover order; built top down, level by level.
+    P = C._counted(budget)
+    if not P.graded:
         raise LatticeInputError("chains must have equal length")
+    faces, below = P.faces, P.below
+    n = len(faces)
     # the faces come sorted by `sort_key`, which extends the default
     # rank-level key, so under the default atom order the places are the
     # positions
@@ -488,9 +482,9 @@ def _chain_tree(C: PComplex, atom_order, budget, coatom: bool):
             for i, x in enumerate(sorted(range(n), key=keys.__getitem__)):
                 place[x] = i
             by_place = place.__getitem__
-    roots = sorted(tops, key=by_place)
+    roots = sorted(P.tops, key=by_place)
     if not coatom:
-        return count, faces, range(n + 1), [sorted(gs, key=by_place) for gs in below] + [roots]
+        return P, range(n + 1), [sorted(gs, key=by_place) for gs in below] + [roots]
     covers = [sum(1 << g for g in gs) for gs in below]
     face, held, kids, memo = [n], [0], [], {}
     for z, S in zip(face, held):  # grows as the nodes are made
@@ -506,7 +500,7 @@ def _chain_tree(C: PComplex, atom_order, budget, coatom: bool):
             shared |= covers[y]
         kids.append(ids)
     last = len(face) - 1
-    return count, faces, face[::-1], [[last - w for w in ids] for ids in reversed(kids)]
+    return P, face[::-1], [[last - w for w in ids] for ids in reversed(kids)]
 
 
 def _chain_order_report(C: PComplex, atom_order, budget, coatom=False) -> OrderShellingReport:
@@ -516,8 +510,8 @@ def _chain_order_report(C: PComplex, atom_order, budget, coatom=False) -> OrderS
     # before v: an earlier sibling of v lies above t exactly when e has
     # bit t.  states[v] maps each state (c_{i-1}, s_i) of the chains
     # through v to whether some chain reaches it through a failing step.
-    count, faces, face, kids = _chain_tree(C, atom_order, budget, coatom)
-    _, through, down, _ = C._poset()
+    P, face, kids = _chain_tree(C, atom_order, budget, coatom)
+    faces, down = P.faces, P.down
     root = len(kids) - 1
     ups = [[] for _ in kids]
     for u, vs in enumerate(kids):
@@ -555,7 +549,7 @@ def _chain_order_report(C: PComplex, atom_order, budget, coatom=False) -> OrderS
                     there[k] = f
 
     if not failed:
-        return OrderShellingReport(True, count, None, "", order)
+        return OrderShellingReport(True, P.chains, None, "", order)
     chain = _first_failing_chain(states, ups, face, kids)
     # R(c) level by level, then the earliest chain through R(c) and the
     # bottom, greedily from the top
@@ -579,7 +573,7 @@ def _chain_order_report(C: PComplex, atom_order, budget, coatom=False) -> OrderS
         # the chains before c: those through an earlier sibling of some c_k
         # that agree with c above it
         return sum(
-            through[face[w]] for k in range(1, r + 1) for w in kids[c[k + 1]][: kids[c[k + 1]].index(c[k])]
+            P.through[face[w]] for k in range(1, r + 1) for w in kids[c[k + 1]][: kids[c[k + 1]].index(c[k])]
         )
 
     label = C.lattice.label
@@ -593,7 +587,7 @@ def _chain_order_report(C: PComplex, atom_order, budget, coatom=False) -> OrderS
         detail = "no earlier facet covers the intersection with facet i"
     else:
         detail = "facet meets no earlier facet in a face of size one less"
-    return OrderShellingReport(False, count, witness, detail, order)
+    return OrderShellingReport(False, P.chains, witness, detail, order)
 
 
 def _first_failing_chain(states, ups, face, kids) -> list:
@@ -727,29 +721,21 @@ def _rank_int(rows) -> int:
         for tid in list(cols.get(c, ())):
             trow = mat[tid]
             a = trow[c]
-            if a % pv == 0:
-                f = a // pv
-                for cc, v in row.items():
-                    nv = trow.get(cc, 0) - f * v
-                    if nv:
-                        if cc not in trow:
-                            cols.setdefault(cc, set()).add(tid)
-                        trow[cc] = nv
-                    elif cc in trow:
-                        del trow[cc]
-                        cols[cc].discard(tid)
-            else:
+            scaled = a % pv != 0  # fraction free: pv * trow - a * row
+            if scaled:
                 for cc in trow:
                     trow[cc] *= pv
-                for cc, v in row.items():
-                    nv = trow.get(cc, 0) - a * v
-                    if nv:
-                        if cc not in trow:
-                            cols.setdefault(cc, set()).add(tid)
-                        trow[cc] = nv
-                    elif cc in trow:
-                        del trow[cc]
-                        cols[cc].discard(tid)
+            f = a if scaled else a // pv
+            for cc, v in row.items():
+                nv = trow.get(cc, 0) - f * v
+                if nv:
+                    if cc not in trow:
+                        cols.setdefault(cc, set()).add(tid)
+                    trow[cc] = nv
+                elif cc in trow:
+                    del trow[cc]
+                    cols[cc].discard(tid)
+            if scaled:
                 g = 0
                 for v in trow.values():
                     g = gcd(g, v)

@@ -3,14 +3,15 @@
 A complex is a downward closed subset of a lattice, stored by its facets
 (the maximal elements).  This module covers purity, the shelling condition
 on facet orders, and the sphere below an element.  A complex keeps its
-faces, their lower covers with the number of maximal chains, counted
-before any chain is walked, the strict down-sets of its faces once they
-are asked for, and the maximal chains once they are walked (`faces`,
-`_poset`, `chain_masks`); the order complexes and chain orders of
-`ordercomplex` read them from there.  `find_shelling` decides
-shellability of a small complex exactly, by a depth-first search over the
-sets of facets already placed; the non-pure search of `stanley_reisner`
-runs on the same search.
+faces and, built with them, one record of its face poset over their
+positions (`_FacePoset`: lower covers, maximal-chain counts of [0, x],
+strict down-sets, facet positions, the number of maximal chains, counted
+before any chain is walked, and whether they all have one length), and the
+maximal chains once they are walked (`chain_masks`, the chains alone); the
+order complexes and chain orders of `ordercomplex` read them from there.
+`find_shelling` decides shellability of a small complex exactly, by a
+depth-first search over the sets of facets already placed; the non-pure
+search of `stanley_reisner` runs on the same search.
 """
 
 from __future__ import annotations
@@ -25,6 +26,53 @@ from .lattice import (
     _rank_level_key,
     _with_verdict,
 )
+
+
+class _FacePoset:
+    """The faces of a complex in `sort_key` order, walked down from its
+    facets and refused past `budget`, and the face poset over their
+    positions, where the lower covers of a face come before it: below[x]
+    lists x's lower covers in the host's order, through[x] counts the
+    maximal chains of [0, x] (1 at the bottom, else the sum over the
+    lower covers), down[x] is x's strict down-set as an int mask (the
+    union of its lower covers' down-sets and the covers themselves), tops
+    lists the facets' positions, `chains` counts the maximal chains of the
+    complex, which end at its facets, and `graded` says whether they all
+    have one length."""
+
+    __slots__ = ("faces", "below", "through", "down", "tops", "chains", "graded")
+
+    def __init__(self, L: PowerLattice, facets: tuple, budget: int):
+        seen = set(facets)
+        lower = {}  # each face's lower covers
+        stack = list(facets)
+        while stack:  # each new face is pushed, so the next pop sees the count
+            if len(seen) > budget:
+                raise BudgetError(f"complex has more than {budget} faces")
+            x = stack.pop()
+            lower[x] = L.lower_covers(x)
+            for y in lower[x]:
+                if y not in seen:
+                    seen.add(y)
+                    stack.append(y)
+        self.faces = faces = tuple(sorted(seen, key=L.sort_key))
+        index = {f: p for p, f in enumerate(faces)}
+        self.below = below = [[index[g] for g in lower[f]] for f in faces]
+        self.through = through = [1]
+        self.down = down = [0]
+        for gs in below[1:]:
+            through.append(sum(map(through.__getitem__, gs)))
+            d = 0
+            for g in gs:
+                d |= down[g] | 1 << g
+            down.append(d)
+        self.tops = [index[f] for f in facets]
+        self.chains = sum(map(through.__getitem__, self.tops))
+        # the maximal chains of [0, x] are as long as the longest, the rank
+        # of x, exactly when every cover step lowers the rank by one
+        self.graded = len({f.rank for f in facets}) == 1 and all(
+            g.rank == f.rank - 1 for f, gs in lower.items() for g in gs
+        )
 
 
 class PComplex:
@@ -53,12 +101,7 @@ class PComplex:
         maximal.sort(key=L.sort_key)
         self.lattice = L
         self.facets = tuple(maximal)
-        self._faces = None
-        self._lower = None
-        self._below = None
-        self._through = None
-        self._tops = None
-        self._down = None
+        self._poset = None  # the `_FacePoset`, built by `faces`
         self._chains = None
 
     @property
@@ -73,45 +116,36 @@ class PComplex:
 
     def faces(self, budget: int = 10_000) -> tuple:
         """Every element of the complex, by downward closure from the facets,
-        in `sort_key` order; refused when there are more than `budget`."""
-        if self._faces is None:
-            L = self.lattice
-            seen = set(self.facets)
-            if len(seen) > budget:
-                raise BudgetError(f"complex has more than {budget} faces")
-            lower = {}  # each face's lower covers, kept for `_covers`
-            stack = list(self.facets)
-            while stack:
-                x = stack.pop()
-                lower[x] = L.lower_covers(x)
-                for y in lower[x]:
-                    if y not in seen:
-                        if len(seen) >= budget:
-                            raise BudgetError(f"complex has more than {budget} faces")
-                        seen.add(y)
-                        stack.append(y)
-            self._faces = tuple(sorted(seen, key=L.sort_key))
-            self._lower = lower
-        elif len(self._faces) > budget:
+        in `sort_key` order, walked once with the face poset (`_FacePoset`);
+        refused when there are more than `budget`."""
+        if self._poset is None:
+            self._poset = _FacePoset(self.lattice, self.facets, budget)
+        elif len(self._poset.faces) > budget:
             raise BudgetError(f"complex has more than {budget} faces")
-        return self._faces
+        return self._poset.faces
+
+    def _counted(self, budget: int) -> _FacePoset:
+        # the face poset, once the face budget and then the chain budget,
+        # against the maximal chains counted before any is walked, are checked
+        self.faces(budget)
+        if self._poset.chains > budget:
+            raise BudgetError(f"complex has more than {budget} maximal chains")
+        return self._poset
 
     def chain_masks(self, budget: int = 10_000) -> tuple:
-        """(lower covers, maximal chains) over the positions of `faces()`.
+        """The maximal chains over the positions of `faces()`.
 
-        below[p] lists the lower covers of face p in the host's order.  A
-        chain is a pair: its int mask of positions, and the positions from
+        A chain is a pair: its int mask of positions, and the positions from
         the bottom (position 0) upward.  A cover step inside a downward
         closed set is one of the host, so the walk up from the bottom
         through the upper covers, in position order, ends exactly at the
         facets and lists the chains in the lexicographic order of their
         `sort_key`s.  The face budget is checked first, then the chain
         budget, against the maximal chains counted before any is walked
-        (`_maximal_chain_count`).  Walked once and kept.
+        (`_FacePoset.chains`).  Walked once and kept.
         """
-        self._maximal_chain_count(budget)
+        below = self._counted(budget).below
         if self._chains is None:
-            below, _ = self._covers()
             above = [[] for _ in below]
             for p, gs in enumerate(below):
                 for g in gs:
@@ -125,52 +159,8 @@ class PComplex:
                     chains.append((mask, path))
                 for q in reversed(ups):
                     stack.append((mask | 1 << q, path + (q,)))
-            self._chains = (below, tuple(chains))
+            self._chains = tuple(chains)
         return self._chains
-
-    def _maximal_chain_count(self, budget) -> int:
-        # the number of maximal chains, counted before any is walked, once
-        # the face budget and then the chain budget are checked
-        self.faces(budget)
-        _, count = self._covers()
-        if count > budget:
-            raise BudgetError(f"complex has more than {budget} maximal chains")
-        return count
-
-    def _covers(self) -> tuple:
-        # (below, the number of maximal chains), once the faces are listed,
-        # from the lower covers their walk asked the host for.
-        # Positions follow `sort_key`, which is rank-first, so the lower
-        # covers of a face come before it: the maximal chains of [0, x]
-        # number 1 at the bottom and otherwise the sum over x's lower
-        # covers, and the maximal chains of the complex end at its facets.
-        if self._below is None:
-            index = {f: p for p, f in enumerate(self._faces)}
-            below = [[index[g] for g in self._lower[f]] for f in self._faces]
-            through = [1]
-            for gs in below[1:]:
-                through.append(sum(map(through.__getitem__, gs)))
-            tops = [index[f] for f in self.facets]
-            self._below = (below, sum(map(through.__getitem__, tops)))
-            self._through, self._tops = through, tops
-        return self._below
-
-    def _poset(self) -> tuple:
-        # (below, through, down, tops) over the positions of the listed
-        # faces: the lower covers, the maximal chains of [0, x], the strict
-        # down-set of x as an int mask over positions (the union of its
-        # lower covers' down-sets and the covers themselves), and the
-        # facets' positions.  Built once, after `_covers`.
-        below, _ = self._covers()
-        if self._down is None:
-            down = [0] * len(below)
-            for x in range(1, len(below)):
-                d = 0
-                for g in below[x]:
-                    d |= down[g] | 1 << g
-                down[x] = d
-            self._down = down
-        return below, self._through, self._down, self._tops
 
     def to_obj(self) -> dict:
         return {"facets": [self.lattice.element_to_obj(f) for f in self.facets]}

@@ -119,7 +119,7 @@ def sort_chains(L, chains, atom_order):
 
 
 def place_map_reverse_lex_chains(C, atom_order, budget):
-    _, chains = C.chain_masks(budget)
+    chains = C.chain_masks(budget)
     if len({len(path) for _, path in chains}) > 1:
         raise LatticeInputError("chains must have equal length")
     key = _rank_level_key(C.lattice, atom_order)
@@ -191,7 +191,7 @@ def walked_reverse_lex_chains(C, atom_order, budget):
     # each key replaced by its place among the distinct keys; where the
     # places are the positions, as with the default atom order, by the
     # position
-    _, chains = C.chain_masks(budget)
+    chains = C.chain_masks(budget)
     if len({len(path) for _, path in chains}) > 1:
         raise LatticeInputError("chains must have equal length")
     key = _rank_level_key(C.lattice, atom_order)
@@ -209,8 +209,8 @@ def walked_coatom_chains(C, facets, atom_order, budget):
     # on z and on the lower covers `shared` of z's earlier siblings, so they
     # are computed once per (z, shared); the facets are the children of
     # z = None.
-    below, chains = C.chain_masks(budget)
-    faces = C.faces(budget)
+    chains = C.chain_masks(budget)
+    faces, below = C.faces(budget), C._poset.below
     key = _rank_level_key(C.lattice, atom_order)
     pos = [key(f) for f in faces]
     covers = [sum(1 << g for g in gs) for gs in below]

@@ -4,8 +4,10 @@ they count.
 - The faces of an order complex are the chains of the poset, counted by
   `order_complex`; the walk of `SimplicialComplex._link` lists them, as the
   link of the vertices on every facet.
-- The maximal chains are counted by `PComplex._covers` before any is
-  walked; `PComplex.chain_masks` lists them.
+- The maximal chains are counted on the face poset that `PComplex.faces`
+  builds, before any is walked; `PComplex.chain_masks` lists them.  The
+  same record says whether they all have one length, read off the host's
+  ranks; the height pass it replaced is `height_graded`.
 - The facet sort key of `SimplicialComplex` is read off the mask; the key
   it replaced built the tuple of each facet's vertices.
 
@@ -13,6 +15,7 @@ Every count is also checked where it gates: at the count a budget answers,
 one below it refuses.
 """
 
+import itertools
 import random
 
 import pytest
@@ -23,6 +26,7 @@ from powerlat import (
     PComplex,
     SimplicialComplex,
     bases,
+    build_hasse,
     build_multiset,
     check_wedge,
     graphic_matroid,
@@ -119,7 +123,7 @@ class TestMaximalChains:
     def test_count_equals_the_walk(self, corpus):
         for tag, C in counted_complexes(corpus):
             C.faces(BIG)
-            assert C._covers()[1] == len(C.chain_masks(BIG)[1]), tag
+            assert C._poset.chains == len(C.chain_masks(BIG)), tag
 
     def test_chain_budget_answers_at_the_count(self, corpus):
         """On a fresh complex: at the walked chain count the walk answers
@@ -127,7 +131,7 @@ class TestMaximalChains:
         budget first."""
         chain_refusals = 0
         for tag, C in counted_complexes(corpus):
-            faces, chains = len(C.faces(BIG)), len(C.chain_masks(BIG)[1])
+            faces, chains = len(C.faces(BIG)), len(C.chain_masks(BIG))
             for budget in (chains - 1, chains):
                 if faces > budget:
                     want = f"complex has more than {budget} faces"
@@ -138,7 +142,7 @@ class TestMaximalChains:
                     want = None
                 copy = fresh(C)
                 try:
-                    got = len(copy.chain_masks(budget)[1])
+                    got = len(copy.chain_masks(budget))
                 except BudgetError as e:
                     got = str(e)
                     assert copy._chains is None, tag  # refused before any walk
@@ -150,7 +154,7 @@ class TestMaximalChains:
         C = PComplex(L, [L.top])  # 27 faces, 90 maximal chains
         with pytest.raises(BudgetError, match=r"^complex has more than 89 maximal chains$"):
             C.chain_masks(89)
-        assert C._chains is None and C._covers()[1] == 90
+        assert C._chains is None and C._poset.chains == 90
 
 
 def old_facet_key(m):
@@ -193,3 +197,43 @@ class TestFacetOrder:
             for bottom in (True, False):
                 masks = order_complex(C, include_bottom=bottom).facet_masks
                 assert list(masks) == sorted(masks, key=old_facet_key), tag
+
+
+def height_graded(C) -> bool:
+    # the height pass `_chain_tree` made before the face poset said whether
+    # its maximal chains have one length: every face's lower covers share a
+    # height, and so do the facets
+    below, tops = C._poset.below, C._poset.tops
+    height = [0] * len(below)
+    for x in range(1, len(below)):
+        h = height[below[x][0]]
+        if any(height[g] != h for g in below[x]):
+            return False
+        height[x] = h + 1
+    return len({height[x] for x in tops}) == 1
+
+
+def pentagon():
+    # N5: 0 < a < b < 1 and 0 < c < 1, not graded
+    return build_hasse(
+        ["0", "a", "b", "c", "1"],
+        [["0", "a"], ["a", "b"], ["b", "1"], ["0", "c"], ["c", "1"]],
+    )
+
+
+class TestGrading:
+    def test_graded_equals_the_height_pass_and_the_walk(self, corpus):
+        """`graded`, read off the host's ranks, against the height pass it
+        replaced and against the walked chains, on the counted complexes
+        and on every complex generated by one or two elements of N5."""
+        N5 = pentagon()
+        cases = list(counted_complexes(corpus))
+        for gens in itertools.combinations_with_replacement(N5.elements(), 2):
+            cases.append((("N5", tuple(map(N5.label, gens))), PComplex(N5, gens)))
+        kinds = set()
+        for tag, C in cases:
+            C.faces(BIG)
+            walked = len({len(path) for _, path in C.chain_masks(BIG)}) == 1
+            assert C._poset.graded == height_graded(C) == walked, tag
+            kinds.add(walked)
+        assert kinds == {True, False}

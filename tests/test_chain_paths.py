@@ -357,7 +357,7 @@ class TestRefusals:
         order_complex(C)
         assert C.chain_masks() is walk
         # each chain's mask holds its positions, bottom (position 0) first
-        for mask, path in walk[1]:
+        for mask, path in walk:
             assert path[0] == 0 and list(path) == sorted(path) and mask == sum(1 << p for p in path)
 
 

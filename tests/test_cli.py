@@ -132,6 +132,15 @@ class TestLattice:
         code, out, err = run(capsys, "lattice", "verify", str(p))
         assert code == 2 and "error:" in err
 
+    def test_deeply_nested_json(self, capsys, tmp_path):
+        # past the decoder's recursion limit the input is unusable, not a
+        # defect: exit 2, with neither a traceback nor an exception type
+        p = tmp_path / "deep.json"
+        p.write_text("[" * 100_000)
+        code, out, err = run(capsys, "lattice", "info", str(p))
+        assert code == 2 and err.startswith("error:") and not out
+        assert "Traceback" not in err and "RecursionError" not in err
+
     @pytest.mark.parametrize("spec", MALFORMED_SPECS, ids=json.dumps)
     def test_malformed_spec(self, capsys, write, spec):
         code, out, err = run(capsys, "lattice", "verify", write("bad.json", spec))
@@ -358,6 +367,12 @@ class TestComplexHomologyAndSphere:
         )
         assert code == 2
 
+    def test_sphere_deeply_nested_element(self, capsys, write):
+        code, out, err = run(
+            capsys, "complex", "sphere", write("m22.json", M22), "--element", "[" * 100_000
+        )
+        assert code == 2 and err == "error: --element takes a JSON element encoding\n" and not out
+
 
 class TestMatroid:
     def test_verify_ok(self, capsys, write):
@@ -399,6 +414,13 @@ class TestMatroid:
             "[0,1]",
         )
         assert code == 0 and rep["u"] == "x_1" and rep["b"] == "x_1"
+
+    @pytest.mark.parametrize("flag", ["--x", "--y", "--a"])
+    def test_exchange_deeply_nested_element(self, capsys, write, flag):
+        flags = {"--x": "[2,0]", "--y": "[0,2]", "--a": "[0,1]", flag: "[" * 100_000}
+        argv = [t for pair in flags.items() for t in pair]
+        code, out, err = run(capsys, "matroid", "exchange", write("m.json", U2_MATROID), *argv)
+        assert code == 2 and err == f"error: {flag} takes a JSON element encoding\n" and not out
 
     def test_exchange_requires_flags(self, capsys, write):
         code, out, err = run(
