@@ -21,6 +21,7 @@ from .lattice import (
     PowerLattice,
     _bits,
     _OrderIndex,
+    _brief,
 )
 
 _MAX_ELEMENTS = 10**6
@@ -117,7 +118,7 @@ class BooleanLattice(PowerLattice):
         idxs = set()
         for lab in obj:
             if not isinstance(lab, str) or lab not in pos:
-                raise LatticeInputError(f"unknown label {lab!r}")
+                raise LatticeInputError(f"unknown label {_brief.repr(lab)}")
             if pos[lab] in idxs:
                 raise LatticeInputError(f"repeated label {lab!r}")
             idxs.add(pos[lab])
@@ -189,12 +190,11 @@ class MultisetLattice(PowerLattice):
 
     def element(self, exponents) -> Element:
         t = tuple(exponents)
-        if len(t) != len(self.exponents) or any(
-            not _is_int(v) or v < 0 or v > b for v, b in zip(t, self.exponents)
-        ):
-            raise LatticeInputError(
-                f"exponent vector {list(exponents)} is outside the box {list(self.exponents)}"
-            )
+        if len(t) != len(self.exponents):
+            raise LatticeInputError(f"exponent vector has length {len(t)}, not {len(self.exponents)}")
+        for i, (v, b) in enumerate(zip(t, self.exponents)):
+            if not _is_int(v) or v < 0 or v > b:
+                raise LatticeInputError(f"exponent {i + 1} is {_brief.repr(v)}, outside 0..{b}")
         return self._make(t)
 
     def _make(self, t: tuple) -> Element:
@@ -665,7 +665,7 @@ class HasseLattice(PowerLattice):
     def element_from_obj(self, obj):
         el = self._by_name.get(obj) if isinstance(obj, str) else None
         if el is None:
-            raise LatticeInputError(f"unknown element {obj!r}")
+            raise LatticeInputError(f"unknown element {_brief.repr(obj)}")
         return el
 
 
@@ -783,4 +783,4 @@ def lattice_from_obj(obj) -> PowerLattice:
         if "n" not in obj:
             raise LatticeInputError("divisor lattice description needs 'n'")
         return DivisorLattice(obj["n"])
-    raise LatticeInputError(f"unknown lattice type {kind!r}")
+    raise LatticeInputError(f"unknown lattice type {_brief.repr(kind)}")

@@ -11,6 +11,7 @@ downstream trusts.
 
 from __future__ import annotations
 
+import reprlib
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 from itertools import compress, repeat
@@ -34,6 +35,10 @@ class NotALatticeError(LatticeInputError):
 
 class BudgetError(LatticeError):
     """An enumeration exceeded its operation, face, or chain budget."""
+
+
+_brief = reprlib.Repr()  # `_brief.repr(value)` names an input value in an error message,
+_brief.maxlevel = 1  # in a few hundred bytes at most, however long or deep the value
 
 
 class Element:
@@ -80,6 +85,7 @@ class PowerLattice(ABC):
         self._levels: dict[int, tuple] = {}
         self._atoms = None
         self._atom_pos = None
+        self._level_key = None
 
     # interface each instance fills in
 
@@ -208,7 +214,9 @@ class PowerLattice(ABC):
 
     def sort_key(self, x: Element):
         """Deterministic total order: rank, then factorization, then label."""
-        return _rank_level_key(self, None)(x) + (self.label(x),)
+        if self._level_key is None:
+            self._level_key = _rank_level_key(self, None)
+        return self._level_key(x) + (self.label(x),)
 
 
 # ---------------------------------------------------------------------------

@@ -14,12 +14,13 @@ or not.  The basis axioms and the dual exchange theorem are checked as
 stated, and the bases in the rank-level order are checked to shell the
 independence complex.  Weighted graphs give matroids on multiset lattices
 over their edges: a multiset is independent when its full-weight edges
-are acyclic.
+are acyclic, and the matroid is built from the forests of edges.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress, product
 
 from .instances import MultisetLattice, _is_int, _sequence
 from .lattice import (
@@ -31,6 +32,7 @@ from .lattice import (
     _finish_report,
     _Meter,
     _OutOfBudget,
+    _brief,
 )
 from .pcomplex import PComplex, ShellingReport, sort_by_rank_lex, verify_shelling
 
@@ -382,7 +384,7 @@ def _multiplicities(G: WeightedGraph, H):
         known = {e.id for e in G.edges}
         for k in H:
             if k not in known:
-                raise LatticeInputError(f"unknown edge id {k!r}")
+                raise LatticeInputError(f"unknown edge id {_brief.repr(k)}")
         mult = tuple(H.get(e.id, 0) for e in G.edges)
     else:
         mult = tuple(H)
@@ -396,15 +398,9 @@ def _multiplicities(G: WeightedGraph, H):
     return mult
 
 
-def is_independent_edge_multiset(G: WeightedGraph, H) -> bool:
-    """True when the full-weight edges of H form an acyclic subgraph.
-
-    An edge contributes only at multiplicity equal to its weight.  A
-    full-weight self-loop is a cycle, and so are two full-weight parallel
-    edges; acyclicity is decided by union-find over the endpoints.
-    """
-    mult = _multiplicities(G, H)
-    parent = {v: v for v in G.vertices}
+def _is_forest(vertices, edges) -> bool:
+    """Union-find: True unless some edge, a loop included, joins two ends already in one part."""
+    parent = {v: v for v in vertices}
 
     def find(v):
         while parent[v] != v:
@@ -412,11 +408,7 @@ def is_independent_edge_multiset(G: WeightedGraph, H) -> bool:
             v = parent[v]
         return v
 
-    for e, m in zip(G.edges, mult):
-        if m != e.wt:
-            continue
-        if e.u == e.v:
-            return False
+    for e in edges:
         ru, rv = find(e.u), find(e.v)
         if ru == rv:
             return False
@@ -424,8 +416,23 @@ def is_independent_edge_multiset(G: WeightedGraph, H) -> bool:
     return True
 
 
+def is_independent_edge_multiset(G: WeightedGraph, H) -> bool:
+    """True when the full-weight edges of H form an acyclic subgraph.  An
+    edge counts only at multiplicity equal to its weight; a full-weight
+    self-loop is a cycle, and so are two full-weight parallel edges."""
+    mult = _multiplicities(G, H)
+    return _is_forest(G.vertices, (e for e, m in zip(G.edges, mult) if m == e.wt))
+
+
 def graphic_matroid(G: WeightedGraph) -> Matroid:
-    """The matroid of independent edge multisets on the graph lattice."""
+    """The matroid of independent edge multisets on the graph lattice, built
+    from the forests of full-weight edges: one acyclicity test per edge set
+    F, and a forest F gives the multisets with weight wt_e on each edge of F
+    and 0..wt_e - 1 on the others.  No dependent multiset is built."""
     L = graph_lattice(G)
-    ind = [x for x in L.elements() if is_independent_edge_multiset(G, x)]
+    ind = []
+    for full in product((False, True), repeat=len(G.edges)):
+        if _is_forest(G.vertices, compress(G.edges, full)):
+            choices = [(e.wt,) if f else range(e.wt) for e, f in zip(G.edges, full)]
+            ind.extend(map(L._make, product(*choices)))
     return Matroid(L, frozenset(ind))

@@ -12,9 +12,19 @@ generic branch: the independents below no other independent.  The
 forks iterate sets, so their witnesses may depend on the hash seed; the
 differential tests in test_matroid_paths.py compare verdicts with them,
 and witnesses only for validity.
+
+`scanned_graphic_matroid` is the earlier `graphic_matroid`: every element
+of the edge lattice, kept when `is_independent_edge_multiset` accepts it.
+test_graphic.py compares its independents with the forest construction.
 """
 
-from powerlat import MultisetLattice, VerificationReport
+from powerlat import (
+    Matroid,
+    MultisetLattice,
+    VerificationReport,
+    graph_lattice,
+    is_independent_edge_multiset,
+)
 from powerlat.lattice import CheckResult, _finish_report, _Meter, _OutOfBudget
 from powerlat.pcomplex import sort_by_rank_lex
 
@@ -194,3 +204,9 @@ def maximal_independents(M, atom_order=None) -> tuple:
     ind = M.independents
     out = [x for x in ind if not any(y != x and L.leq(x, y) for y in ind)]
     return tuple(sort_by_rank_lex(L, out, atom_order))
+
+
+def scanned_graphic_matroid(G) -> Matroid:
+    L = graph_lattice(G)
+    ind = [x for x in L.elements() if is_independent_edge_multiset(G, x)]
+    return Matroid(L, frozenset(ind))

@@ -146,6 +146,12 @@ class TestLattice:
         code, out, err = run(capsys, "lattice", "verify", write("bad.json", spec))
         assert code == 2 and err.startswith("error:") and not out
 
+    @pytest.mark.parametrize("kind", ["x" * 50_000, [1] * 50_000], ids=["long", "list"])
+    def test_long_lattice_type_is_not_echoed(self, capsys, write, kind):
+        code, out, err = run(capsys, "lattice", "info", write("bad.json", {"type": kind}))
+        assert code == 2 and err.startswith("error: unknown lattice type") and not out
+        assert len(err) < 1000, err[:200]
+
     def test_budget_keeps_verdict_open(self, capsys, write):
         code, rep, _ = jrun(
             capsys, "lattice", "verify", write("b4.json", BOOL4), "--budget", "40"
@@ -372,6 +378,28 @@ class TestComplexHomologyAndSphere:
             capsys, "complex", "sphere", write("m22.json", M22), "--element", "[" * 100_000
         )
         assert code == 2 and err == "error: --element takes a JSON element encoding\n" and not out
+
+    @pytest.mark.parametrize(
+        "lattice, element",
+        [
+            (M22, [1] * 50_000),
+            (M22, [1, "x" * 50_000]),
+            (M22, [1, [[[[1] * 50_000]]]]),
+            (BOOL3, ["x" * 50_000]),
+            (BOOL3, [[1] * 50_000]),
+            (FIGURE, "x" * 50_000),
+            (FIGURE, [1] * 50_000),
+        ],
+        ids=["long vector", "long entry", "nested entry", "long label", "list label",
+             "long name", "list name"],
+    )
+    def test_sphere_long_element_is_not_echoed(self, capsys, write, lattice, element):
+        # the message names what is wrong, not the whole input
+        code, out, err = run(
+            capsys, "complex", "sphere", write("L.json", lattice), "--element", json.dumps(element)
+        )
+        assert code == 2 and err.startswith("error:") and not out
+        assert len(err) < 1000, err[:200]
 
 
 class TestMatroid:

@@ -2,9 +2,12 @@
 
 Graphs on four labeled vertices with up to a handful of edges, loops and
 parallels included, weights 1 or 2.  Every multiset of the edge lattice is
-compared with a component-count forest test, and the matroid laws are
-checked on each sampled graph.  The exhaustive sweep over all such graphs
-up to isomorphism runs in the acceptance suite.
+compared with a component-count forest test, both through the predicate
+and through the matroid's independents, and the matroid laws are checked
+on each sampled graph.  The exhaustive sweep over all such graphs up to
+isomorphism runs in the acceptance suite.  Graphs outside that sweep
+(weights up to 3, six edges, loops only, isolated vertices) are compared
+with the earlier scan of the edge lattice.
 """
 
 import functools
@@ -24,6 +27,8 @@ from powerlat import (
     verify_independence_axioms,
     weighted_graph,
 )
+
+from matroid_oracles import scanned_graphic_matroid
 
 VERTS = ("a", "b", "c", "d")
 SLOTS = tuple(itertools.combinations_with_replacement(range(4), 2))
@@ -92,8 +97,13 @@ def check_graph(spec, shelling=True):
     G = graph_of(spec)
     M = graphic_matroid(G)
     L = M.host
+    forests = set()
     for x in L.elements():
-        assert is_independent_edge_multiset(G, x) == forest_oracle(G, x.key), spec
+        forest = forest_oracle(G, x.key)
+        assert is_independent_edge_multiset(G, x) == forest, spec
+        if forest:
+            forests.add(x)
+    assert M.independents == forests, spec
     rep = verify_independence_axioms(M)
     assert rep.ok and rep.complete, spec
     B = bases(M)
@@ -184,3 +194,50 @@ class TestNamedGraphs:
     def test_bowtie(self):
         spec = NAMED_SPECS["bowtie"]
         check_graph(spec, shelling=False)
+
+
+class TestAgainstTheScan:
+    """The forest construction against the scan of the edge lattice."""
+
+    @staticmethod
+    def check(G):
+        M = graphic_matroid(G)
+        # only independents were interned: no dependent element was built
+        assert len(M.host._cache) == len(M.independents)
+        scan = scanned_graphic_matroid(G)
+        assert {x.key for x in M.independents} == {x.key for x in scan.independents}
+
+    def test_named_graphs(self):
+        for spec in NAMED_SPECS.values():
+            self.check(graph_of(spec))
+
+    def test_six_edges_with_weights_up_to_three(self):
+        rng = random.Random(43)
+        options = [(slot, wt) for slot in SLOTS for wt in (1, 2, 3)]
+        for _ in range(40):
+            self.check(graph_of(rng.choices(options, k=6)))
+
+    def test_loops_only(self):
+        for spec in (
+            (((0, 0), 1),),
+            (((0, 0), 3), ((0, 0), 2)),
+            (((0, 0), 1), ((1, 1), 2), ((2, 2), 3), ((3, 3), 1)),
+        ):
+            self.check(graph_of(spec))
+
+    def test_parallel_full_weight_edges(self):
+        for spec in (
+            (((0, 1), 1), ((0, 1), 1)),
+            (((0, 1), 3), ((0, 1), 2), ((0, 1), 1), ((1, 0), 3)),
+            (((0, 1), 2), ((1, 0), 2), ((1, 2), 3), ((2, 1), 1), ((2, 2), 2)),
+        ):
+            self.check(graph_of(spec))
+
+    def test_isolated_vertices(self):
+        verts = ("a", "b", "c", "d", "e", "f")
+        for edges in (
+            [Edge("e0", "a", "b", 2)],
+            [Edge("e0", "a", "b", 1), Edge("e1", "b", "c", 3), Edge("e2", "a", "c", 2)],
+            [Edge("e0", "f", "f", 2), Edge("e1", "c", "d", 1), Edge("e2", "d", "c", 1)],
+        ):
+            self.check(weighted_graph(verts, edges))

@@ -3,9 +3,10 @@
 Every handle comes from its host's `PowerLattice._new`, so equality and
 hashing are by identity: these tests pin that interning holds for every
 way the library hands out elements, that `sort_key` tells elements apart
-(the total order every set walk ends in), that an element of another host
-is refused, and that the line-span subspace meet agrees with the earlier
-null-space meet (subspace_oracles.py).
+(the total order every set walk ends in) and is the rank-level key then
+the label, that an element of another host is refused, and that the
+line-span subspace meet agrees with the earlier null-space meet
+(subspace_oracles.py).
 """
 
 import itertools
@@ -22,6 +23,7 @@ from powerlat import (
     build_product,
     build_subspace,
 )
+from powerlat.lattice import _rank_level_key
 
 from subspace_oracles import nullspace_meet
 
@@ -59,6 +61,16 @@ def test_sort_key_is_injective(corpus):
     for name, L in corpus.items():
         keys = {L.sort_key(x) for x in L.elements()}
         assert len(keys) == L.element_count(), name
+
+
+def test_sort_key_is_the_rank_level_key_then_the_label(corpus):
+    # the host builds its rank-level key once and keeps it
+    for name, L in corpus.items():
+        for x in L.elements():
+            assert L.sort_key(x) == _rank_level_key(L, None)(x) + (L.label(x),), (name, x)
+        key = L._level_key
+        L.sort_key(L.top)
+        assert L._level_key is key, name
 
 
 @pytest.mark.parametrize(

@@ -373,6 +373,11 @@ class TestIndependentEdgeMultisets:
         with pytest.raises(LatticeInputError):
             is_independent_edge_multiset(G, {"h": 1})
 
+    def test_long_edge_id_is_not_echoed(self):
+        with pytest.raises(LatticeInputError, match="unknown edge id") as err:
+            is_independent_edge_multiset(triangle_graph(), {"h" * 50_000: 1})
+        assert len(str(err.value)) < 1000
+
 
 class TestGraphicMatroid:
     def test_triangle(self):
